@@ -40,6 +40,7 @@ use autotype_dnf::CoverParams;
 pub use autotype_exec::ExecPool;
 use autotype_exec::{
     analyze_module, featurize, probe_trace, Candidate, EntryPoint, Executor, Literal, PackageIndex,
+    RunOutcome,
 };
 use autotype_lang::Program;
 use autotype_negative::{generate_negatives, random_negatives, MutationConfig, Strategy};
@@ -136,8 +137,14 @@ pub struct AutoType {
 struct SessionCandidate {
     repo: usize,
     file: String,
+    /// Index of the executor (one per repository) the candidate runs on.
+    slot: usize,
     candidate: Candidate,
 }
+
+/// One candidate's traces over a list of inputs: the full featurized trace
+/// set and the black-box view, aligned with the inputs.
+type CandidateTraces = (Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>);
 
 /// A synthesis session: retrieved repositories, discovered candidates,
 /// their traces over `P ∪ N`, and everything needed to rank and replay.
@@ -151,7 +158,7 @@ pub struct Session<'a> {
     candidates: Vec<SessionCandidate>,
     traces: Vec<FunctionTraces>,
     documents: Vec<String>,
-    executors: Vec<(usize, Executor)>,
+    executors: Vec<Executor>,
     /// Total fuel consumed by all runs (the Figure 14 cost measure).
     pub fuel_spent: u64,
     /// pip-install rounds that were needed.
@@ -237,7 +244,7 @@ impl AutoType {
     ) -> Option<Session<'_>> {
         let repos = self.retrieve(keyword);
         let mut candidates = Vec::new();
-        let mut executors: Vec<(usize, Executor)> = Vec::new();
+        let mut executors: Vec<Executor> = Vec::new();
         let mut documents = Vec::new();
         let mut installs = 0;
 
@@ -248,9 +255,9 @@ impl AutoType {
             };
             let exec = Executor::new(program, &self.packages, self.config.fuel);
             installs += exec.installs;
-            let exec_idx = executors.len();
-            executors.push((repo_id, exec));
-            let program: &Program = executors[exec_idx].1.program();
+            let slot = executors.len();
+            executors.push(exec);
+            let program: &Program = executors[slot].program();
             for (file_idx, file) in program.files.iter().enumerate() {
                 // Only the repository's own files are analyzed, not
                 // installed packages.
@@ -276,6 +283,7 @@ impl AutoType {
                     candidates.push(SessionCandidate {
                         repo: repo_id,
                         file: file.name.clone(),
+                        slot,
                         candidate,
                     });
                 }
@@ -385,11 +393,7 @@ impl<'a> Session<'a> {
     /// executor ownership, so the output (including `fuel_spent` and
     /// `installs`) is bit-identical to the serial path for every worker
     /// count.
-    #[allow(clippy::type_complexity)]
-    fn run_all(
-        &mut self,
-        inputs: &[String],
-    ) -> Vec<(Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>)> {
+    fn run_all(&mut self, inputs: &[String]) -> Vec<CandidateTraces> {
         if self.engine.pool.workers() == 1 {
             self.run_all_serial(inputs)
         } else {
@@ -399,41 +403,19 @@ impl<'a> Session<'a> {
 
     /// The reference implementation: one candidate after another on one
     /// thread. `workers = 1` runs exactly this code.
-    #[allow(clippy::type_complexity)]
-    fn run_all_serial(
-        &mut self,
-        inputs: &[String],
-    ) -> Vec<(Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>)> {
-        let mut out: Vec<(Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>)> =
-            vec![(Vec::new(), Vec::new()); self.candidates.len()];
-        for (ci, sc) in self.candidates.iter().enumerate() {
-            let exec = self
-                .executors
-                .iter_mut()
-                .find(|(repo, _)| *repo == sc.repo)
-                .map(|(_, e)| e)
-                .expect("executor for repository");
+    fn run_all_serial(&mut self, inputs: &[String]) -> Vec<CandidateTraces> {
+        let packages = &self.engine.packages;
+        let mut out = Vec::with_capacity(self.candidates.len());
+        for sc in &self.candidates {
+            let exec = &mut self.executors[sc.slot];
+            let mut traces = CandidateTraces::default();
             for input in inputs {
-                let outcome = exec.run(&sc.candidate, input, &self.engine.packages);
+                let outcome = exec.run(&sc.candidate, input, packages);
                 self.fuel_spent += outcome.fuel_used;
                 self.installs = self.installs.max(exec.installs);
-                let mut bb = BTreeSet::new();
-                match &outcome.result {
-                    Ok(value) => {
-                        bb.insert(Literal::Ret {
-                            site: autotype_lang::SiteId::new(u32::MAX, 0),
-                            value: autotype_lang::ValueSummary::of(value),
-                        });
-                    }
-                    Err(e) => {
-                        bb.insert(Literal::Exception {
-                            kind: e.kind.clone(),
-                        });
-                    }
-                }
-                out[ci].0.push(featurize(&outcome.trace));
-                out[ci].1.push(bb);
+                record_run(&mut traces, &outcome);
             }
+            out.push(traces);
         }
         out
     }
@@ -452,11 +434,7 @@ impl<'a> Session<'a> {
     /// Merging is by candidate index; `fuel_spent` is a commutative sum and
     /// `installs` a monotone max over executors, so both match the serial
     /// accounting bit for bit.
-    #[allow(clippy::type_complexity)]
-    fn run_all_parallel(
-        &mut self,
-        inputs: &[String],
-    ) -> Vec<(Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>)> {
+    fn run_all_parallel(&mut self, inputs: &[String]) -> Vec<CandidateTraces> {
         struct Job {
             slot: usize,
             exec: Executor,
@@ -469,7 +447,7 @@ impl<'a> Session<'a> {
             slot: usize,
             exec: Option<Executor>,
             fuel: u64,
-            per_cand: Vec<(usize, (Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>))>,
+            per_cand: Vec<(usize, CandidateTraces)>,
         }
 
         // Group candidate indices by executor slot. Candidates are created
@@ -478,19 +456,15 @@ impl<'a> Session<'a> {
         let executors = std::mem::take(&mut self.executors);
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); executors.len()];
         for (ci, sc) in self.candidates.iter().enumerate() {
-            let slot = executors
-                .iter()
-                .position(|(repo, _)| *repo == sc.repo)
-                .expect("executor for repository");
-            groups[slot].push(ci);
+            groups[sc.slot].push(ci);
         }
 
         let packages = &self.engine.packages;
-        let mut slots: Vec<(usize, Option<Executor>)> = Vec::with_capacity(executors.len());
+        let mut slots: Vec<Option<Executor>> = Vec::with_capacity(executors.len());
         let mut jobs: Vec<Job> = Vec::new();
-        for (slot, ((repo, exec), cands)) in executors.into_iter().zip(groups).enumerate() {
+        for (slot, (exec, cands)) in executors.into_iter().zip(groups).enumerate() {
             if cands.is_empty() {
-                slots.push((repo, Some(exec)));
+                slots.push(Some(exec));
             } else if exec.install_closed(packages) {
                 for ci in cands {
                     jobs.push(Job {
@@ -500,7 +474,7 @@ impl<'a> Session<'a> {
                         owns_slot: false,
                     });
                 }
-                slots.push((repo, Some(exec)));
+                slots.push(Some(exec));
             } else {
                 jobs.push(Job {
                     slot,
@@ -508,7 +482,7 @@ impl<'a> Session<'a> {
                     cands,
                     owns_slot: true,
                 });
-                slots.push((repo, None));
+                slots.push(None);
             }
         }
         // Longest-processing-time-first: start the biggest jobs early so no
@@ -527,30 +501,13 @@ impl<'a> Session<'a> {
             let mut fuel = 0u64;
             let mut per_cand = Vec::with_capacity(cands.len());
             for ci in cands {
-                let sc = &candidates[ci];
-                let mut full = Vec::with_capacity(inputs.len());
-                let mut bbs = Vec::with_capacity(inputs.len());
+                let mut traces = CandidateTraces::default();
                 for input in inputs {
-                    let outcome = exec.run(&sc.candidate, input, packages);
+                    let outcome = exec.run(&candidates[ci].candidate, input, packages);
                     fuel += outcome.fuel_used;
-                    let mut bb = BTreeSet::new();
-                    match &outcome.result {
-                        Ok(value) => {
-                            bb.insert(Literal::Ret {
-                                site: autotype_lang::SiteId::new(u32::MAX, 0),
-                                value: autotype_lang::ValueSummary::of(value),
-                            });
-                        }
-                        Err(e) => {
-                            bb.insert(Literal::Exception {
-                                kind: e.kind.clone(),
-                            });
-                        }
-                    }
-                    full.push(featurize(&outcome.trace));
-                    bbs.push(bb);
+                    record_run(&mut traces, &outcome);
                 }
-                per_cand.push((ci, (full, bbs)));
+                per_cand.push((ci, traces));
             }
             JobOut {
                 slot,
@@ -560,25 +517,36 @@ impl<'a> Session<'a> {
             }
         });
 
-        let mut out: Vec<(Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>)> =
-            vec![(Vec::new(), Vec::new()); self.candidates.len()];
+        let mut out = vec![CandidateTraces::default(); self.candidates.len()];
         for result in results {
             self.fuel_spent += result.fuel;
             if let Some(exec) = result.exec {
-                slots[result.slot].1 = Some(exec);
+                slots[result.slot] = Some(exec);
             }
-            for (ci, pair) in result.per_cand {
-                out[ci] = pair;
+            for (ci, traces) in result.per_cand {
+                out[ci] = traces;
             }
         }
         self.executors = slots
             .into_iter()
-            .map(|(repo, exec)| (repo, exec.expect("every executor slot restored")))
+            .map(|exec| exec.expect("every executor slot restored"))
             .collect();
-        for (_, exec) in &self.executors {
+        for exec in &self.executors {
             self.installs = self.installs.max(exec.installs);
         }
         out
+    }
+
+    /// Resolve a ranked function to `(candidate index, executor slot)`:
+    /// the one lookup every replay path goes through. `None` when the
+    /// function names no candidate of this session.
+    fn resolve(&self, function: &RankedFunction) -> Option<(usize, usize)> {
+        let ci = self.candidates.iter().position(|sc| {
+            sc.repo == function.repo
+                && sc.file == function.file
+                && sc.candidate.entry == function.entry
+        })?;
+        Some((ci, self.candidates[ci].slot))
     }
 
     /// Number of discovered candidate functions.
@@ -683,65 +651,28 @@ impl<'a> Session<'a> {
     /// Execute a ranked function's synthesized validator on a fresh input
     /// (Algorithm 3: run, trace, check `∧T(s) → DNF-E`).
     pub fn validate(&mut self, function: &RankedFunction, input: &str) -> bool {
-        let Some(validator) = &function.validator else {
+        let (Some(validator), Some((ci, slot))) = (&function.validator, self.resolve(function))
+        else {
             return false;
         };
-        let Some(sc_idx) = self.candidates.iter().position(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        }) else {
-            return false;
-        };
-        let sc_repo = self.candidates[sc_idx].repo;
-        let candidate = self.candidates[sc_idx].candidate.clone();
-        let exec = self
-            .executors
-            .iter_mut()
-            .find(|(repo, _)| *repo == sc_repo)
-            .map(|(_, e)| e)
-            .expect("executor");
-        let (trace, fuel_used) = probe_trace(exec, &candidate, input, &self.engine.packages);
+        let (trace, fuel_used) = probe_trace(
+            &mut self.executors[slot],
+            &self.candidates[ci].candidate,
+            input,
+            &self.engine.packages,
+        );
         self.fuel_spent += fuel_used;
         validator.accepts(&trace)
     }
 
-    /// Detach a thread-safe batch handle for a ranked function's validator,
-    /// for scoring whole columns of values concurrently (§9.1's batched
-    /// detection path). Returns `None` when the function has no synthesized
-    /// validator or no longer resolves to a session candidate — exactly the
-    /// cases where [`validate`](Session::validate) answers `false` for every
-    /// input, so callers can simply skip such functions.
-    ///
-    /// The handle snapshots the candidate's executor at call time; fold its
-    /// fuel accounting back with [`absorb_batch`](Session::absorb_batch)
-    /// when the batch is done.
-    pub fn batch_validator(&self, function: &RankedFunction) -> Option<BatchValidator<'a>> {
-        let validator = function.validator.clone()?;
-        let sc = self.candidates.iter().find(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        })?;
-        let exec = self
-            .executors
-            .iter()
-            .find(|(repo, _)| *repo == sc.repo)
-            .map(|(_, e)| e.clone())
-            .expect("executor");
-        Some(BatchValidator {
-            packages: &self.engine.packages,
-            candidate: sc.candidate.clone(),
-            exec,
-            validator,
-            fuel: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Fold a finished batch handle's fuel accounting back into the
-    /// session's Figure 14 cost measure.
-    pub fn absorb_batch(&mut self, batch: BatchValidator<'_>) {
-        self.fuel_spent += batch.fuel.into_inner();
+    /// The detector for a ranked function: its [exported](Session::export_pack)
+    /// pack rehydrated in memory — the same thread-safe [`PackValidator`]
+    /// the serve runtime loads from disk. The pack's slug (the session
+    /// keyword) and method are metadata only and never affect a verdict.
+    /// `None` exactly when `export_pack` is, so callers can skip those.
+    pub fn batch_validator(&self, function: &RankedFunction) -> Option<PackValidator> {
+        let pack = self.export_pack(function, &self.keyword, Method::DnfS)?;
+        Some(pack.validator().expect("an exported pack rehydrates"))
     }
 
     /// Export a ranked function's synthesized validator as a portable
@@ -756,7 +687,7 @@ impl<'a> Session<'a> {
     /// rankings) or whose candidate no longer resolves — the same cases
     /// where [`validate`](Session::validate) answers `false` for every
     /// input. A rehydrated pack validator's verdicts are bit-identical to
-    /// [`batch_validator`](Session::batch_validator)'s.
+    /// [`validate`](Session::validate)'s.
     pub fn export_pack(
         &self,
         function: &RankedFunction,
@@ -764,27 +695,29 @@ impl<'a> Session<'a> {
         method: Method,
     ) -> Option<Pack> {
         let validator = function.validator.as_ref()?;
-        let sc = self.candidates.iter().find(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        })?;
-        let (_, exec) = self.executors.iter().find(|(repo, _)| *repo == sc.repo)?;
+        let (ci, slot) = self.resolve(function)?;
+        let sc = &self.candidates[ci];
+        let exec = &self.executors[slot];
         let repo = self.engine.corpus.repository(sc.repo);
-        // Snapshot every program file's source in file-id order. Each file
-        // is either one of the repository's own files or an installed
-        // package; a file satisfying neither would mean the snapshot cannot
-        // be reproduced, so refuse to export rather than emit a broken pack.
-        let mut files = Vec::with_capacity(exec.program().files.len());
-        for file in &exec.program().files {
-            let source = repo
-                .files
-                .iter()
-                .find(|f| f.name == file.name)
-                .map(|f| f.source.clone())
-                .or_else(|| self.engine.packages.get(&file.name).map(str::to_string))?;
-            files.push((file.name.clone(), source));
-        }
+        // Snapshot every program file's source in file-id order. The
+        // executor starts from the repository's own files and only ever
+        // adds packages from the engine's index, so every file is one or
+        // the other.
+        let files = exec
+            .program()
+            .files
+            .iter()
+            .map(|file| {
+                let source = repo
+                    .files
+                    .iter()
+                    .find(|f| f.name == file.name)
+                    .map(|f| f.source.clone())
+                    .or_else(|| self.engine.packages.get(&file.name).map(str::to_string))
+                    .expect("a program file is a repository file or an installed package");
+                (file.name.clone(), source)
+            })
+            .collect();
         Some(Pack {
             slug: slug.to_string(),
             keyword: self.keyword.clone(),
@@ -834,53 +767,33 @@ impl<'a> Session<'a> {
     /// the acceptance notion used to unit-test functions that were ranked
     /// without a synthesized DNF (the KW/LR baselines).
     pub fn executes_ok(&mut self, function: &RankedFunction, input: &str) -> bool {
-        let Some(sc_idx) = self.candidates.iter().position(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        }) else {
+        let Some((ci, slot)) = self.resolve(function) else {
             return false;
         };
-        let sc_repo = self.candidates[sc_idx].repo;
-        let candidate = self.candidates[sc_idx].candidate.clone();
-        let exec = self
-            .executors
-            .iter_mut()
-            .find(|(repo, _)| *repo == sc_repo)
-            .map(|(_, e)| e)
-            .expect("executor");
-        let outcome = exec.run(&candidate, input, &self.engine.packages);
+        let outcome =
+            self.executors[slot].run(&self.candidates[ci].candidate, input, &self.engine.packages);
         self.fuel_spent += outcome.fuel_used;
-        match &outcome.result {
-            Ok(autotype_lang::Value::Bool(false)) => false,
-            Ok(_) => true,
-            Err(_) => false,
-        }
+        !matches!(
+            outcome.result,
+            Ok(autotype_lang::Value::Bool(false)) | Err(_)
+        )
     }
 
     /// Mine semantic transformations from a ranked function over the
     /// session's positive examples (§7.1).
     pub fn transformations(&mut self, function: &RankedFunction) -> Vec<Transformation> {
-        let Some(sc_idx) = self.candidates.iter().position(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        }) else {
+        let Some((ci, slot)) = self.resolve(function) else {
             return Vec::new();
         };
-        let sc_repo = self.candidates[sc_idx].repo;
-        let candidate = self.candidates[sc_idx].candidate.clone();
-        let positives = self.positives.clone();
-        let exec = self
-            .executors
-            .iter_mut()
-            .find(|(repo, _)| *repo == sc_repo)
-            .map(|(_, e)| e)
-            .expect("executor");
-        let harvests: Vec<Vec<(String, String)>> = positives
+        let harvests: Vec<Vec<(String, String)>> = self
+            .positives
             .iter()
             .map(|p| {
-                let outcome = exec.run(&candidate, p, &self.engine.packages);
+                let outcome = self.executors[slot].run(
+                    &self.candidates[ci].candidate,
+                    p,
+                    &self.engine.packages,
+                );
                 self.fuel_spent += outcome.fuel_used;
                 outcome.harvest
             })
@@ -889,43 +802,11 @@ impl<'a> Session<'a> {
     }
 }
 
-/// A thread-safe, detached handle for running one ranked function's
-/// synthesized validator over many inputs concurrently — the unit the
-/// batched column-detection path fans out across the exec pool.
-///
-/// Every [`accepts`](BatchValidator::accepts) call runs against a fresh
-/// (Arc-shallow) clone of the executor snapshot taken at
-/// [`Session::batch_validator`] time, so each call is a pure function of
-/// its input: verdicts are independent of call order and of how calls are
-/// scheduled across worker threads, which is what makes batched detection
-/// bit-identical at every worker count. Dynamic package installs triggered
-/// by a probe happen in the per-call clone and are discarded, so the
-/// snapshot never drifts mid-batch. Fuel is accumulated atomically (a
-/// commutative sum, deterministic under any schedule).
-pub struct BatchValidator<'a> {
-    packages: &'a PackageIndex,
-    candidate: Candidate,
-    exec: Executor,
-    validator: SynthesizedValidator,
-    fuel: std::sync::atomic::AtomicU64,
-}
-
-impl BatchValidator<'_> {
-    /// Algorithm 3 on one input: run the candidate, trace, check
-    /// `∧T(s) → DNF-E`.
-    pub fn accepts(&self, input: &str) -> bool {
-        let mut exec = self.exec.clone();
-        let (trace, fuel_used) = probe_trace(&mut exec, &self.candidate, input, self.packages);
-        self.fuel
-            .fetch_add(fuel_used, std::sync::atomic::Ordering::Relaxed);
-        self.validator.accepts(&trace)
-    }
-
-    /// Total fuel burned by all [`accepts`](BatchValidator::accepts) calls
-    /// so far.
-    pub fn fuel_spent(&self) -> u64 {
-        self.fuel.load(std::sync::atomic::Ordering::Relaxed)
-    }
+/// Append one run to a candidate's traces: the featurized full trace and
+/// the black-box view holding only the run's black-box literal.
+fn record_run(traces: &mut CandidateTraces, outcome: &RunOutcome) {
+    traces.0.push(featurize(&outcome.trace));
+    traces.1.push(BTreeSet::from([outcome.black_box_literal()]));
 }
 
 #[cfg(test)]

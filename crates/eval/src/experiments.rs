@@ -2,7 +2,7 @@
 //! evaluation (§8–§9). Each driver is parameterized by a type subset and a
 //! scale so the same code powers fast tests and the full `figures` binary.
 
-use autotype::{AutoType, BatchValidator, NegativeMode, RankedFunction, Session};
+use autotype::{AutoType, NegativeMode, PackValidator, RankedFunction, Session};
 use autotype_negative::{generate_negatives, MutationConfig, Strategy};
 use autotype_rank::Method;
 use autotype_tables::{
@@ -448,7 +448,7 @@ pub fn table2(
 /// [`table2`] with detections and stage timings exposed.
 ///
 /// DNF-S detection is batched: each per-type synthesized validator becomes
-/// a thread-safe [`BatchValidator`] handle, and the whole column × detector
+/// a thread-safe [`PackValidator`] handle, and the whole column × detector
 /// matrix fans out through the engine's exec pool as one job per cell
 /// (`detect_by_values_batched`). The merge is index-ordered with
 /// first-matching-type-wins per column and the strict `> VALUE_THRESHOLD`
@@ -503,7 +503,7 @@ pub fn table2_full(
     // answer false for every value (never reaching the threshold), so
     // skipping them changes nothing — including first-win priority.
     let t = std::time::Instant::now();
-    let handles: Vec<(&'static str, BatchValidator<'_>)> = sessions
+    let handles: Vec<(&'static str, PackValidator)> = sessions
         .iter()
         .filter_map(|(slug, session, top)| session.batch_validator(top).map(|bv| (*slug, bv)))
         .collect();
@@ -517,13 +517,6 @@ pub fn table2_full(
         })
         .collect();
     let dnf_detections = detect_by_values_batched(&columns, &detectors, engine.pool());
-    drop(detectors);
-    // Fold the batch fuel back into each owning session's cost accounting.
-    for (slug, bv) in handles {
-        if let Some((_, session, _)) = sessions.iter_mut().find(|(s, _, _)| *s == slug) {
-            session.absorb_batch(bv);
-        }
-    }
     let dnf_ms = ms(t);
 
     let t = std::time::Instant::now();

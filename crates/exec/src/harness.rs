@@ -72,6 +72,22 @@ impl RunOutcome {
     pub fn completed(&self) -> bool {
         self.result.is_ok()
     }
+
+    /// The synthetic black-box literal summarizing the run: a `Ret` at the
+    /// reserved site `(u32::MAX, 0)` for the top-level result, or an
+    /// `Exception` when the run failed. It is the RET baseline's whole view
+    /// of a run, and [`probe_trace`] adds it to every probe trace.
+    pub fn black_box_literal(&self) -> crate::Literal {
+        match &self.result {
+            Ok(value) => crate::Literal::Ret {
+                site: autotype_lang::SiteId::new(u32::MAX, 0),
+                value: autotype_lang::ValueSummary::of(value),
+            },
+            Err(e) => crate::Literal::Exception {
+                kind: e.kind.clone(),
+            },
+        }
+    }
 }
 
 /// Executes candidates against a repository program.
@@ -278,13 +294,6 @@ impl Executor {
             }
             _ => {}
         }
-        // For method variants, also harvest instance attributes via a
-        // second instrumented run would be wasteful; instead the object is
-        // still reachable when the method returned `self` or stored state.
-        if let (EntryPoint::CtorThenMethod { class, .. }, Ok(_)) = (&candidate.entry, &result) {
-            let _ = class;
-        }
-
         let trace = interp.reset_trace();
         let fuel_used = interp.fuel_used();
         RunOutcome {
@@ -298,15 +307,14 @@ impl Executor {
 }
 
 /// Run a candidate on one input and return the featurized trace augmented
-/// with the synthetic black-box literal — a `Ret` at the reserved site
-/// `(u32::MAX, 0)` summarizing the top-level result, or an `Exception` when
-/// the run failed — plus the fuel the run burned.
+/// with the run's [black-box literal](RunOutcome::black_box_literal), plus
+/// the fuel the run burned.
 ///
 /// This is the exact trace shape `SynthesizedValidator` clauses are written
 /// against (validators synthesized from the RET baseline's black-box view
 /// need the synthetic literal to evaluate correctly), shared by the
-/// session's validate path, the batched column-detection path, and the
-/// pack-based serving runtime so the three can never drift.
+/// session's validate path and the pack validator so the two can never
+/// drift.
 pub fn probe_trace(
     exec: &mut Executor,
     candidate: &Candidate,
@@ -315,19 +323,7 @@ pub fn probe_trace(
 ) -> (std::collections::BTreeSet<crate::Literal>, u64) {
     let outcome = exec.run(candidate, input, packages);
     let mut trace = crate::featurize(&outcome.trace);
-    match &outcome.result {
-        Ok(value) => {
-            trace.insert(crate::Literal::Ret {
-                site: autotype_lang::SiteId::new(u32::MAX, 0),
-                value: autotype_lang::ValueSummary::of(value),
-            });
-        }
-        Err(e) => {
-            trace.insert(crate::Literal::Exception {
-                kind: e.kind.clone(),
-            });
-        }
-    }
+    trace.insert(outcome.black_box_literal());
     (trace, outcome.fuel_used)
 }
 

@@ -208,7 +208,11 @@ pub fn call(
             while (step > 0 && i < stop) || (step < 0 && i > stop) {
                 interp.charge_external(1)?;
                 out.push(Value::Int(i));
-                i += step;
+                // Stepping past the i64 range ends it, as in Python.
+                let Some(next) = i.checked_add(step) else {
+                    break;
+                };
+                i = next;
             }
             Ok(Value::list(out))
         }
@@ -846,6 +850,16 @@ mod tests {
             Value::Int(2),
             Value::Int(1)
         ])));
+    }
+
+    #[test]
+    fn range_stops_at_the_i64_extremes() {
+        assert!(eval("range(9223372036854775806, 9223372036854775807, 2)")
+            .py_eq(&Value::list(vec![Value::Int(i64::MAX - 1)])));
+        assert!(
+            eval("range(-9223372036854775807, -9223372036854775807 - 1, -2)")
+                .py_eq(&Value::list(vec![Value::Int(i64::MIN + 1)]))
+        );
     }
 
     #[test]

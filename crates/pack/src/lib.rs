@@ -32,15 +32,13 @@
 //! Versioning rule: additive fields bump the version and are appended to
 //! the payload tail; field reordering or re-typing requires a new magic.
 //!
-//! [`Pack::validator`] rehydrates a [`PackValidator`] — the owned,
-//! thread-safe analogue of the session's batch handle: each `accepts` call
-//! clones the snapshot executor (Arc-shallow) and is a pure function of its
-//! input, so verdicts are bit-identical to the in-process session validator
-//! at any concurrency.
+//! [`Pack::validator`] rehydrates a [`PackValidator`] — the one detector
+//! type, used in process (`Session::batch_validator`) and by the serve
+//! runtime alike: every probe runs on a probe executor rolled back to the
+//! pack snapshot, so it is a pure function of its input and verdicts are
+//! bit-identical to the in-process session validator at any concurrency.
 
-use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use autotype_exec::{probe_trace, Candidate, EntryPoint, Executor, Literal, PackageIndex};
 use autotype_lang::{Program, SiteId, ValueSummary};
@@ -267,7 +265,6 @@ impl Pack {
             validator: SynthesizedValidator {
                 dnf_e: self.dnf_e.clone(),
             },
-            fuel: AtomicU64::new(0),
         })
     }
 
@@ -481,15 +478,14 @@ fn read_literal(r: &mut Reader<'_>) -> Result<Literal, PackError> {
     })
 }
 
-/// The rehydrated online validator: runs the packed candidate under
+/// The rehydrated detector: runs the packed candidate under
 /// instrumentation and checks `∧T(s) → DNF-E` (Algorithm 3), exactly like
-/// the in-process session's batch handle.
+/// `Session::validate`.
 ///
-/// Thread-safe by construction: every [`accepts`](PackValidator::accepts)
-/// call clones the snapshot executor (Arc-shallow — parsed ASTs are
-/// shared), so each call is a pure function of its input and dynamic
-/// installs land in discarded clones. Fuel accumulates in an `AtomicU64`
-/// (a commutative sum — deterministic under any schedule).
+/// Thread-safe by construction: every probe runs on a [`ProbeExecutor`]
+/// that is rolled back to the pack snapshot afterwards, so each probe is a
+/// pure function of its input and dynamic installs never leak into the
+/// next one.
 #[derive(Debug)]
 pub struct PackValidator {
     pack_id: String,
@@ -499,7 +495,6 @@ pub struct PackValidator {
     candidate: Candidate,
     exec: Executor,
     validator: SynthesizedValidator,
-    fuel: AtomicU64,
 }
 
 impl PackValidator {
@@ -523,17 +518,12 @@ impl PackValidator {
 
     /// Algorithm 3 on one input: run, trace, check `∧T(s) → DNF-E`.
     pub fn accepts(&self, input: &str) -> bool {
-        let (trace, fuel) = self.trace(input);
-        self.fuel.fetch_add(fuel, Ordering::Relaxed);
-        self.validator.accepts(&trace)
+        self.accepts_with_fuel(input).0
     }
 
-    /// Probe and return `(verdict, fuel_used)` without touching the
-    /// internal fuel counter — callers that keep their own fuel accounting
-    /// (the serve runtime's metrics) use this to avoid double counting.
+    /// Probe on a fresh [`ProbeExecutor`] and return `(verdict, fuel_used)`.
     pub fn accepts_with_fuel(&self, input: &str) -> (bool, u64) {
-        let (trace, fuel) = self.trace(input);
-        (self.validator.accepts(&trace), fuel)
+        self.accepts_with_fuel_in(&mut self.probe_executor(), input, None)
     }
 
     /// The per-probe fuel budget baked into the pack at export time.
@@ -553,12 +543,11 @@ impl PackValidator {
         }
     }
 
-    /// [`accepts_with_fuel`](Self::accepts_with_fuel) through a reusable
-    /// [`ProbeExecutor`] and an optional per-probe fuel ceiling (clamped to
-    /// the pack's own budget). The slot is rolled back to the pack snapshot
-    /// after the run — dynamic installs are undone, the fuel budget is
-    /// restored — so every probe still sees the exact rehydrated state and
-    /// verdicts stay bit-identical to the clone-per-probe path.
+    /// The one probe path: run through a reusable [`ProbeExecutor`] with an
+    /// optional per-probe fuel ceiling (clamped to the pack's own budget).
+    /// The slot is rolled back to the pack snapshot after the run — dynamic
+    /// installs are undone, the fuel budget is restored — so every probe
+    /// sees the exact rehydrated state, whichever slot it runs on.
     pub fn accepts_with_fuel_in(
         &self,
         slot: &mut ProbeExecutor,
@@ -572,23 +561,6 @@ impl PackValidator {
         slot.exec
             .reset_snapshot(slot.base_files, slot.base_installs);
         (self.validator.accepts(&trace), fuel)
-    }
-
-    /// The featurized probe trace for one input (with the synthetic
-    /// black-box literal), without touching the fuel counter.
-    pub fn trace(&self, input: &str) -> (BTreeSet<Literal>, u64) {
-        let mut exec = self.exec.clone();
-        probe_trace(&mut exec, &self.candidate, input, &self.packages)
-    }
-
-    /// Total fuel burned by all `accepts` calls so far.
-    pub fn fuel_spent(&self) -> u64 {
-        self.fuel.load(Ordering::Relaxed)
-    }
-
-    /// Drain the fuel counter (serve-runtime metric scraping).
-    pub fn take_fuel(&self) -> u64 {
-        self.fuel.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -666,7 +638,7 @@ mod tests {
         assert!(v.accepts("abcd"));
         assert!(v.accepts(""));
         assert!(!v.accepts("abc"));
-        assert!(v.fuel_spent() > 0);
+        assert!(v.accepts_with_fuel("abcd").1 > 0);
     }
 
     #[test]

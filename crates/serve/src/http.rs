@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::json::{self, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Route};
 use crate::runtime::DetectorRuntime;
 
 /// Tunables for the listener; the defaults suit a local deployment.
@@ -387,19 +387,19 @@ fn route(
     let m = runtime.metrics();
     match (method, path) {
         ("POST", "/detect") => {
-            Metrics::bump(&m.requests_detect);
+            m.bump_route(Route::Detect);
             detect_endpoint(runtime, body, config)
         }
         ("POST", "/detect/column") => {
-            Metrics::bump(&m.requests_detect_column);
+            m.bump_route(Route::DetectColumn);
             detect_column_endpoint(runtime, body, config)
         }
         ("POST", "/detect/table") => {
-            Metrics::bump(&m.requests_detect_table);
+            m.bump_route(Route::DetectTable);
             detect_table_endpoint(runtime, body, config)
         }
         ("GET", "/healthz") => {
-            Metrics::bump(&m.requests_healthz);
+            m.bump_route(Route::Healthz);
             Response::json(
                 200,
                 format!(
@@ -410,7 +410,7 @@ fn route(
             )
         }
         ("GET", "/metrics") => {
-            Metrics::bump(&m.requests_metrics);
+            m.bump_route(Route::Metrics);
             Response {
                 status: 200,
                 content_type: "text/plain; version=0.0.4",

@@ -82,17 +82,56 @@ impl PackMetrics {
             latency: Histogram::default(),
         }
     }
+
+    fn labels(&self) -> String {
+        format!("pack=\"{}\",slug=\"{}\"", self.pack_id, self.slug)
+    }
+}
+
+/// The routes whose requests are counted one series each.
+#[derive(Clone, Copy)]
+pub(crate) enum Route {
+    Detect,
+    DetectColumn,
+    DetectTable,
+    Healthz,
+    Metrics,
+}
+
+impl Route {
+    /// Every route, in the order `render` emits them.
+    const ALL: [Route; 5] = [
+        Route::Detect,
+        Route::DetectColumn,
+        Route::DetectTable,
+        Route::Healthz,
+        Route::Metrics,
+    ];
+
+    /// The route's series name and HELP text.
+    const fn series(self) -> (&'static str, &'static str) {
+        match self {
+            Route::Detect => ("autotype_requests_detect_total", "POST /detect requests"),
+            Route::DetectColumn => (
+                "autotype_requests_detect_column_total",
+                "POST /detect/column requests",
+            ),
+            Route::DetectTable => (
+                "autotype_requests_detect_table_total",
+                "POST /detect/table requests",
+            ),
+            Route::Healthz => ("autotype_requests_healthz_total", "GET /healthz requests"),
+            Route::Metrics => ("autotype_requests_metrics_total", "GET /metrics requests"),
+        }
+    }
 }
 
 /// All counters the service exposes.
 #[derive(Debug)]
 pub struct Metrics {
     pub requests_total: AtomicU64,
-    pub requests_detect: AtomicU64,
-    pub requests_detect_column: AtomicU64,
-    pub requests_detect_table: AtomicU64,
-    pub requests_healthz: AtomicU64,
-    pub requests_metrics: AtomicU64,
+    /// Requests per route, indexed by [`Route`].
+    requests: [AtomicU64; Route::ALL.len()],
     /// 4xx/5xx responses (bad JSON, over-limit bodies, unknown routes).
     pub http_errors: AtomicU64,
     /// TCP connections accepted (each may carry many keep-alive requests).
@@ -120,11 +159,7 @@ impl Metrics {
     pub fn new(packs: &[(String, String)]) -> Metrics {
         Metrics {
             requests_total: AtomicU64::new(0),
-            requests_detect: AtomicU64::new(0),
-            requests_detect_column: AtomicU64::new(0),
-            requests_detect_table: AtomicU64::new(0),
-            requests_healthz: AtomicU64::new(0),
-            requests_metrics: AtomicU64::new(0),
+            requests: Default::default(),
             http_errors: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
             connections_shed: AtomicU64::new(0),
@@ -150,6 +185,11 @@ impl Metrics {
         counter.load(Ordering::Relaxed)
     }
 
+    /// Count one request on `route`.
+    pub(crate) fn bump_route(&self, route: Route) {
+        Self::bump(&self.requests[route as usize]);
+    }
+
     /// Cache hit rate over everything probed so far (0.0 when idle).
     pub fn hit_rate(&self) -> f64 {
         let hits = Self::read(&self.cache_hits) as f64;
@@ -161,118 +201,128 @@ impl Metrics {
         }
     }
 
-    /// Prometheus text exposition.
+    /// Prometheus text exposition: every family gets exactly one HELP and
+    /// one TYPE line, before its first sample.
     pub fn render(&self, cache_entries: usize) -> String {
-        let mut out = String::with_capacity(2048);
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        gauge(
+        let mut out = String::with_capacity(4096);
+        let mut counters = vec![(
             "autotype_requests_total",
             "HTTP requests received",
-            Self::read(&self.requests_total),
-        );
-        gauge(
-            "autotype_requests_detect_total",
-            "POST /detect requests",
-            Self::read(&self.requests_detect),
-        );
-        gauge(
-            "autotype_requests_detect_column_total",
-            "POST /detect/column requests",
-            Self::read(&self.requests_detect_column),
-        );
-        gauge(
-            "autotype_requests_detect_table_total",
-            "POST /detect/table requests",
-            Self::read(&self.requests_detect_table),
-        );
-        gauge(
-            "autotype_requests_healthz_total",
-            "GET /healthz requests",
-            Self::read(&self.requests_healthz),
-        );
-        gauge(
-            "autotype_requests_metrics_total",
-            "GET /metrics requests",
-            Self::read(&self.requests_metrics),
-        );
-        gauge(
-            "autotype_http_errors_total",
-            "Error responses returned",
-            Self::read(&self.http_errors),
-        );
-        gauge(
-            "autotype_cache_hits_total",
-            "Verdict cache hits",
-            Self::read(&self.cache_hits),
-        );
-        gauge(
-            "autotype_cache_misses_total",
-            "Verdict cache misses",
-            Self::read(&self.cache_misses),
-        );
-        gauge(
-            "autotype_connections_total",
-            "TCP connections accepted",
-            Self::read(&self.connections_total),
-        );
-        gauge(
-            "autotype_connections_shed_total",
-            "Connections refused with 503 under saturation",
-            Self::read(&self.connections_shed),
-        );
-        gauge(
-            "autotype_probes_saved_total",
-            "Probe cells skipped by lazy tiered scheduling vs the eager matrix",
-            Self::read(&self.probes_saved),
-        );
-        gauge(
-            "autotype_executors_reused_total",
-            "Uncached probes served by a leased (reset) executor",
-            Self::read(&self.executors_reused),
-        );
-        gauge(
-            "autotype_executors_cloned_total",
-            "Uncached probes that had to clone a fresh snapshot executor",
-            Self::read(&self.executors_cloned),
-        );
-        gauge(
-            "autotype_fuel_spent_total",
-            "Interpreter fuel burned by uncached probes",
-            Self::read(&self.fuel_spent),
-        );
-        gauge(
-            "autotype_values_served_total",
-            "Values answered across batch and column requests",
-            Self::read(&self.values_served),
-        );
-        gauge(
+            &self.requests_total,
+        )];
+        counters.extend(Route::ALL.iter().map(|&route| {
+            let (name, help) = route.series();
+            (name, help, &self.requests[route as usize])
+        }));
+        counters.extend([
+            (
+                "autotype_http_errors_total",
+                "Error responses returned",
+                &self.http_errors,
+            ),
+            (
+                "autotype_cache_hits_total",
+                "Verdict cache hits",
+                &self.cache_hits,
+            ),
+            (
+                "autotype_cache_misses_total",
+                "Verdict cache misses",
+                &self.cache_misses,
+            ),
+            (
+                "autotype_connections_total",
+                "TCP connections accepted",
+                &self.connections_total,
+            ),
+            (
+                "autotype_connections_shed_total",
+                "Connections refused with 503 under saturation",
+                &self.connections_shed,
+            ),
+            (
+                "autotype_probes_saved_total",
+                "Probe cells skipped by lazy tiered scheduling vs the eager matrix",
+                &self.probes_saved,
+            ),
+            (
+                "autotype_executors_reused_total",
+                "Uncached probes served by a leased (reset) executor",
+                &self.executors_reused,
+            ),
+            (
+                "autotype_executors_cloned_total",
+                "Uncached probes that had to clone a fresh snapshot executor",
+                &self.executors_cloned,
+            ),
+            (
+                "autotype_fuel_spent_total",
+                "Interpreter fuel burned by uncached probes",
+                &self.fuel_spent,
+            ),
+            (
+                "autotype_values_served_total",
+                "Values answered across batch and column requests",
+                &self.values_served,
+            ),
+        ]);
+        for (name, help, counter) in counters {
+            family(&mut out, name, "counter", help);
+            out.push_str(&format!("{name} {}\n", Self::read(counter)));
+        }
+        family(
+            &mut out,
             "autotype_cache_entries",
+            "gauge",
             "Verdicts currently cached",
-            cache_entries as u64,
+        );
+        out.push_str(&format!("autotype_cache_entries {cache_entries}\n"));
+
+        self.per_pack_counter(
+            &mut out,
+            "autotype_pack_probes_total",
+            "Uncached probes per pack",
+            |pm| &pm.probes,
+        );
+        self.per_pack_counter(
+            &mut out,
+            "autotype_pack_accepts_total",
+            "Uncached probes per pack that accepted",
+            |pm| &pm.accepts,
+        );
+        let latency = "autotype_pack_probe_latency_us";
+        family(
+            &mut out,
+            latency,
+            "histogram",
+            "Uncached probe latency per pack, in microseconds",
         );
         for pm in &self.per_pack {
-            let labels = format!("pack=\"{}\",slug=\"{}\",", pm.pack_id, pm.slug);
-            out.push_str(&format!(
-                "autotype_pack_probes_total{{pack=\"{}\",slug=\"{}\"}} {}\n",
-                pm.pack_id,
-                pm.slug,
-                Self::read(&pm.probes)
-            ));
-            out.push_str(&format!(
-                "autotype_pack_accepts_total{{pack=\"{}\",slug=\"{}\"}} {}\n",
-                pm.pack_id,
-                pm.slug,
-                Self::read(&pm.accepts)
-            ));
             pm.latency
-                .render(&mut out, "autotype_pack_probe_latency_us", &labels);
+                .render(&mut out, latency, &format!("{},", pm.labels()));
         }
         out
     }
+
+    /// One counter family with a sample per pack.
+    fn per_pack_counter(
+        &self,
+        out: &mut String,
+        name: &str,
+        help: &str,
+        counter: impl Fn(&PackMetrics) -> &AtomicU64,
+    ) {
+        family(out, name, "counter", help);
+        for pm in &self.per_pack {
+            let value = Self::read(counter(pm));
+            out.push_str(&format!("{name}{{{}}} {value}\n", pm.labels()));
+        }
+    }
+}
+
+/// The HELP and TYPE lines that open a metric family.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
 #[cfg(test)]
@@ -305,12 +355,54 @@ mod tests {
 
     #[test]
     fn render_includes_per_pack_series() {
-        let m = Metrics::new(&[("cc-abc".into(), "creditcard".into())]);
+        let m = Metrics::new(&[
+            ("cc-abc".into(), "creditcard".into()),
+            ("ip-def".into(), "ipv6".into()),
+        ]);
         Metrics::bump(&m.per_pack[0].probes);
+        Metrics::bump(&m.per_pack[1].accepts);
         m.per_pack[0].latency.record_us(42);
+        // Route i is bumped i + 1 times, so a series counted under another
+        // route's name shows up as a wrong count.
+        for (i, &route) in Route::ALL.iter().enumerate() {
+            for _ in 0..=i {
+                m.bump_route(route);
+            }
+        }
         let text = m.render(7);
         assert!(text.contains("autotype_pack_probes_total{pack=\"cc-abc\",slug=\"creditcard\"} 1"));
+        assert!(text.contains("autotype_pack_accepts_total{pack=\"ip-def\",slug=\"ipv6\"} 1"));
+        for (i, route) in Route::ALL.iter().enumerate() {
+            let (name, _) = route.series();
+            assert!(text.contains(&format!("\n{name} {}\n", i + 1)), "{name}");
+        }
         assert!(text.contains("autotype_cache_entries 7"));
         assert!(text.contains("autotype_pack_probe_latency_us_count"));
+
+        // Every family has exactly one HELP and one TYPE line, the HELP
+        // right before the TYPE, and both come before its first sample.
+        let lines: Vec<&str> = text.lines().collect();
+        let mut kind = std::collections::HashMap::new();
+        for (i, line) in lines.iter().enumerate() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, k) = rest.split_once(' ').unwrap();
+                assert!(kind.insert(name, k).is_none(), "second TYPE for {name}");
+                assert!(lines[i - 1].starts_with(&format!("# HELP {name} ")));
+            } else if !line.starts_with('#') {
+                let series = line.split(['{', ' ']).next().unwrap();
+                let family = ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|s| series.strip_suffix(s))
+                    .filter(|f| kind.get(f) == Some(&"histogram"))
+                    .unwrap_or(series);
+                assert!(kind.contains_key(family), "no TYPE before {line}");
+            }
+        }
+        let helps = lines.iter().filter(|l| l.starts_with("# HELP ")).count();
+        assert_eq!(helps, kind.len(), "one HELP per family");
+        assert_eq!(kind["autotype_cache_entries"], "gauge");
+        assert_eq!(kind["autotype_pack_probes_total"], "counter");
+        assert_eq!(kind["autotype_pack_accepts_total"], "counter");
+        assert_eq!(kind["autotype_pack_probe_latency_us"], "histogram");
     }
 }

@@ -25,9 +25,9 @@
 //! the accept count either mathematically clears `VALUE_THRESHOLD` or can
 //! no longer reach it. Probe purity is what makes this safe: skipping a
 //! cell the merge would have discarded anyway changes no verdict, only the
-//! probe count — exported as `autotype_probes_saved_total`. The
-//! `*_eager` variants keep the full-matrix behavior for equivalence tests
-//! and benchmarks.
+//! probe count — exported as `autotype_probes_saved_total`. The serial
+//! full-matrix oracle the scheduler is checked against lives in
+//! `tests/lazy_eager.rs`.
 //!
 //! ## Per-request fuel ceilings
 //!
@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use autotype_exec::ExecPool;
 use autotype_pack::{load_pack, PackError, PackValidator, ProbeExecutor, PACK_EXTENSION};
-use autotype_tables::{column_passes, VALUE_THRESHOLD};
+use autotype_tables::VALUE_THRESHOLD;
 
 use crate::cache::ShardedLru;
 use crate::metrics::Metrics;
@@ -158,13 +158,9 @@ impl DetectorRuntime {
         verdict
     }
 
-    /// One `(pack, value)` verdict through the cache (full pack budget).
-    pub fn probe(&self, pack: usize, value: &str) -> bool {
-        self.probe_capped(pack, value, None)
-    }
-
-    /// [`probe`](Self::probe) with an optional fuel ceiling. Ceilings below
-    /// the pack budget bypass the cache (see the module docs).
+    /// One `(pack, value)` verdict through the cache, with an optional fuel
+    /// ceiling. Ceilings below the pack budget bypass the cache (see the
+    /// module docs).
     fn probe_capped(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
         if max_fuel.is_some_and(|cap| cap < self.packs[pack].fuel_budget()) {
             return self.probe_uncached(pack, value, max_fuel);
@@ -177,18 +173,6 @@ impl DetectorRuntime {
         let verdict = self.probe_uncached(pack, value, None);
         self.cache.put(pack, value, verdict);
         verdict
-    }
-
-    /// Cache read without touching hit/miss counters; falls back to a
-    /// (counted) probe if the entry was evicted. Used by the second pass of
-    /// [`detect_column_eager`](Self::detect_column_eager), which re-reads
-    /// verdicts the warm pass just computed — counting those reads as hits
-    /// would double-book every column value.
-    fn verdict_quiet(&self, pack: usize, value: &str) -> bool {
-        match self.cache.get(pack, value) {
-            Some(verdict) => verdict,
-            None => self.probe(pack, value),
-        }
     }
 
     /// Detect a single value: first pack (in priority order) that accepts.
@@ -260,31 +244,6 @@ impl DetectorRuntime {
             .probes_saved
             .fetch_add((values.len() * npacks) as u64 - issued, Ordering::Relaxed);
         out
-    }
-
-    /// The eager `value × pack` matrix [`detect_batch`](Self::detect_batch)
-    /// replaced: every cell is evaluated through the pool and the merge
-    /// discards cells below the first match. Kept as the reference
-    /// implementation for lazy == eager equivalence tests and benchmarks
-    /// (it also warms the cache for *every* pack, which the lazy path
-    /// deliberately does not).
-    pub fn detect_batch_eager(&self, values: &[String]) -> Vec<Option<usize>> {
-        self.metrics
-            .values_served
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        if self.packs.is_empty() || values.is_empty() {
-            return vec![None; values.len()];
-        }
-        let npacks = self.packs.len();
-        let cells: Vec<(usize, usize)> = (0..values.len())
-            .flat_map(|vi| (0..npacks).map(move |pi| (vi, pi)))
-            .collect();
-        let verdicts = self
-            .pool
-            .run_ordered(cells, |_, (vi, pi)| self.probe(pi, &values[vi]));
-        (0..values.len())
-            .map(|vi| (0..npacks).find(|pi| verdicts[vi * npacks + pi]))
-            .collect()
     }
 
     /// Detect a whole column: first pack (in priority order) whose accept
@@ -410,27 +369,6 @@ impl DetectorRuntime {
             .fetch_add(total * npacks as u64 - issued, Ordering::Relaxed);
         out
     }
-
-    /// The eager column detection [`detect_column`](Self::detect_column)
-    /// replaced: warm the full `value × pack` matrix through the pool
-    /// (counted normally), then re-read verdicts quietly for the threshold
-    /// scan. Kept as the reference implementation for equivalence tests
-    /// and benchmarks.
-    pub fn detect_column_eager(&self, values: &[String]) -> Option<usize> {
-        self.metrics
-            .values_served
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        if self.packs.is_empty() || values.is_empty() {
-            return None;
-        }
-        let npacks = self.packs.len();
-        let cells: Vec<(usize, usize)> = (0..values.len())
-            .flat_map(|vi| (0..npacks).map(move |pi| (vi, pi)))
-            .collect();
-        self.pool
-            .run_ordered(cells, |_, (vi, pi)| self.probe(pi, &values[vi]));
-        (0..npacks).find(|&pi| column_passes(values, |v| self.verdict_quiet(pi, v)))
-    }
 }
 
 /// The smallest accept count that clears `column_passes` for a column of
@@ -450,6 +388,7 @@ mod tests {
     use autotype_exec::{EntryPoint, Literal};
     use autotype_lang::{SiteId, ValueSummary};
     use autotype_pack::Pack;
+    use autotype_tables::column_passes;
 
     /// A pack whose DNF-E is just the synthetic black-box literal "the
     /// function returned True" — robust to branch-site numbering, so the
@@ -512,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_batch_matches_serial_and_eager_at_any_worker_count() {
+    fn detect_batch_matches_serial_at_any_worker_count() {
         let values: Vec<String> = ["ab", "a", "abc", "abcd", "", "xyzzy"]
             .iter()
             .map(|s| s.to_string())
@@ -522,12 +461,6 @@ mod tests {
         for workers in [1usize, 2, 4, 8] {
             let rt = runtime(workers);
             assert_eq!(rt.detect_batch(&values), expected, "workers={workers}");
-            let eager = runtime(workers);
-            assert_eq!(
-                eager.detect_batch_eager(&values),
-                expected,
-                "eager workers={workers}"
-            );
         }
     }
 
@@ -583,31 +516,6 @@ mod tests {
         assert_eq!(rt.detect_column(&junk), None);
         // Empty column never matches.
         assert_eq!(rt.detect_column(&[]), None);
-    }
-
-    #[test]
-    fn lazy_column_matches_eager_at_any_worker_count() {
-        let columns: Vec<Vec<String>> = [
-            vec!["ab", "cd", "ef", "gh", "ij", "x"],
-            vec!["a", "b", "c"],
-            vec!["abc", "defgh", "x", "yz"],
-            vec![],
-            vec!["ab"],
-        ]
-        .iter()
-        .map(|c| c.iter().map(|s| s.to_string()).collect())
-        .collect();
-        for workers in [1usize, 2, 4, 8] {
-            for column in &columns {
-                let lazy = runtime(workers);
-                let eager = runtime(workers);
-                assert_eq!(
-                    lazy.detect_column(column),
-                    eager.detect_column_eager(column),
-                    "workers={workers} column={column:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -711,16 +619,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn column_warm_pass_does_not_double_count_hits() {
-        let rt = runtime(1);
-        let values: Vec<String> = ["ab", "cd", "ef"].iter().map(|s| s.to_string()).collect();
-        rt.detect_column_eager(&values);
-        // Warm pass: 3 values × 2 packs = 6 misses; the threshold scan
-        // re-reads quietly, so hits stay 0.
-        assert_eq!(Metrics::read(&rt.metrics().cache_misses), 6);
-        assert_eq!(Metrics::read(&rt.metrics().cache_hits), 0);
     }
 }

@@ -3,11 +3,15 @@
 //! and per column — on randomized pack sets and value sets, at every
 //! worker count. This is the load-bearing guarantee of the scheduler:
 //! skipping dead matrix cells is only a perf change, never a semantic one.
+//!
+//! The eager matrix is a serial oracle over the validators themselves: no
+//! runtime, no pool, no cache.
 
 use autotype_exec::{EntryPoint, Literal};
 use autotype_lang::{SiteId, ValueSummary};
 use autotype_pack::{Pack, PackValidator};
 use autotype_serve::DetectorRuntime;
+use autotype_tables::column_passes;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A pack accepting exactly the inputs for which the program returns True.
@@ -60,6 +64,26 @@ fn validators(packs: &[Pack]) -> Vec<PackValidator> {
     packs.iter().map(|p| p.validator().unwrap()).collect()
 }
 
+/// Eager per-value detection: probe the value's whole `× pack` row, then
+/// take the first pack (in priority order) that accepted.
+fn eager_batch(packs: &[PackValidator], values: &[String]) -> Vec<Option<usize>> {
+    values
+        .iter()
+        .map(|v| {
+            let row: Vec<bool> = packs.iter().map(|p| p.accepts_with_fuel(v).0).collect();
+            row.iter().position(|&accepted| accepted)
+        })
+        .collect()
+}
+
+/// Eager column detection: the first pack whose accept fraction over the
+/// whole column clears the threshold.
+fn eager_column(packs: &[PackValidator], values: &[String]) -> Option<usize> {
+    packs
+        .iter()
+        .position(|p| column_passes(values, |v| p.accepts_with_fuel(v).0))
+}
+
 #[test]
 fn lazy_equals_eager_on_random_pack_and_value_sets() {
     let pool = pack_pool();
@@ -93,10 +117,13 @@ fn lazy_equals_eager_on_random_pack_and_value_sets() {
         let serial = DetectorRuntime::from_packs(validators(&chosen), 1, 1024);
         let expected_batch: Vec<Option<usize>> =
             values.iter().map(|v| serial.detect_value(v)).collect();
-        let expected_column = {
-            let rt = DetectorRuntime::from_packs(validators(&chosen), 1, 1024);
-            rt.detect_column_eager(&values)
-        };
+        let oracle = validators(&chosen);
+        let expected_column = eager_column(&oracle, &values);
+        assert_eq!(
+            eager_batch(&oracle, &values),
+            expected_batch,
+            "trial {trial}: eager batch diverged\nvalues: {values:?}"
+        );
 
         for workers in [1usize, 2, 4, 8] {
             let lazy = DetectorRuntime::from_packs(validators(&chosen), workers, 1024);
@@ -104,12 +131,6 @@ fn lazy_equals_eager_on_random_pack_and_value_sets() {
                 lazy.detect_batch(&values),
                 expected_batch,
                 "trial {trial} workers {workers}: lazy batch diverged\nvalues: {values:?}"
-            );
-            let eager = DetectorRuntime::from_packs(validators(&chosen), workers, 1024);
-            assert_eq!(
-                eager.detect_batch_eager(&values),
-                expected_batch,
-                "trial {trial} workers {workers}: eager batch diverged\nvalues: {values:?}"
             );
             let lazy_col = DetectorRuntime::from_packs(validators(&chosen), workers, 1024);
             assert_eq!(
@@ -122,6 +143,33 @@ fn lazy_equals_eager_on_random_pack_and_value_sets() {
             assert!(
                 spent <= (values.len() * npacks) as u64,
                 "trial {trial} workers {workers}: issued {spent} > matrix"
+            );
+        }
+    }
+}
+
+#[test]
+fn lazy_column_matches_eager_at_any_worker_count() {
+    // Even length first, then short (< 3 chars).
+    let packs = &pack_pool()[..2];
+    let columns: Vec<Vec<String>> = [
+        vec!["ab", "cd", "ef", "gh", "ij", "x"],
+        vec!["a", "b", "c"],
+        vec!["abc", "defgh", "x", "yz"],
+        vec![],
+        vec!["ab"],
+    ]
+    .iter()
+    .map(|c| c.iter().map(|s| s.to_string()).collect())
+    .collect();
+    let oracle = validators(packs);
+    for workers in [1usize, 2, 4, 8] {
+        for column in &columns {
+            let lazy = DetectorRuntime::from_packs(validators(packs), workers, 1024);
+            assert_eq!(
+                lazy.detect_column(column),
+                eager_column(&oracle, column),
+                "workers={workers} column={column:?}"
             );
         }
     }

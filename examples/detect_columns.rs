@@ -6,7 +6,7 @@
 //! cargo run --release --example detect_columns
 //! ```
 
-use autotype::{AutoType, AutoTypeConfig, BatchValidator, NegativeMode};
+use autotype::{AutoType, AutoTypeConfig, NegativeMode, PackValidator};
 use autotype_corpus::{build_corpus, CorpusConfig};
 use autotype_rank::Method;
 use autotype_tables::{
@@ -61,7 +61,7 @@ fn main() {
     // pool: each synthesized validator becomes a thread-safe batch handle,
     // and the index-ordered merge keeps first-matching-type-wins semantics
     // identical at every worker count.
-    let handles: Vec<(&'static str, BatchValidator<'_>)> = synthesized
+    let handles: Vec<(&'static str, PackValidator)> = synthesized
         .iter()
         .filter_map(|(slug, session, top)| session.batch_validator(top).map(|bv| (*slug, bv)))
         .collect();

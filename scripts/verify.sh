@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, tier-1 tests, the
 # complete workspace test suite (including the vendored stub crates),
-# and a warnings-as-errors clippy pass.
+# perfbench's build and unit tests, and a warnings-as-errors clippy pass.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -21,6 +21,13 @@ cargo test --workspace -q
 
 echo "== serve integration tests (keep-alive, lazy==eager, golden packs) =="
 cargo test -p autotype-serve --test keepalive --test lazy_eager --test golden --test loopback -q
+
+# perfbench is a workspace of its own, so the builds above never compile
+# it: build it and run its unit tests here, so removing API it uses fails
+# this gate instead of the benchmark.
+echo "== perfbench: build + unit tests =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --bins -q
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings

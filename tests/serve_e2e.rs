@@ -8,6 +8,7 @@
 
 use autotype::{AutoType, AutoTypeConfig, NegativeMode};
 use autotype_corpus::{build_corpus, CorpusConfig};
+use autotype_negative::Strategy;
 use autotype_rank::Method;
 use autotype_serve::DetectorRuntime;
 use autotype_typesys::by_slug;
@@ -21,44 +22,85 @@ fn synthesized_pack_serves_bit_identical_verdicts() {
         build_corpus(&CorpusConfig::default()),
         AutoTypeConfig::default(),
     );
-    let ty = by_slug("creditcard").unwrap();
-    let mut ex_rng = StdRng::seed_from_u64(1);
-    let positives = ty.examples(&mut ex_rng, 20);
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut session = engine
-        .session("credit card", &positives, NegativeMode::Hierarchy, &mut rng)
-        .expect("creditcard session");
-    let ranked = session.rank(Method::DnfS);
-    let top = ranked.first().cloned().expect("ranked functions");
-
-    // --- Export. ---
-    let dir = std::env::temp_dir().join(format!("autotype-serve-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("00-creditcard.atpk");
-    let pack = session
-        .save_pack(&top, "creditcard", Method::DnfS, &path)
-        .expect("save pack");
-    assert!(pack.pack_id().starts_with("creditcard-"));
-    assert!(path.exists());
-
-    // The probe batch: valid cards, corrupted cards, and junk.
-    let mut batch: Vec<String> = positives.clone();
-    batch.extend(
-        [
+    // A checksum type that separates at S1 and a structural one that
+    // needs S2, each probed with valid values plus near misses and junk.
+    serves_bit_identical_verdicts(
+        &engine,
+        "creditcard",
+        "credit card",
+        Strategy::S1,
+        &[
             "4147202263232836", // last digit off: Luhn fails
             "1234567890123456",
             "not a number",
             "",
             "4111111111111111", // classic test PAN, Luhn-valid
-        ]
-        .iter()
-        .map(|s| s.to_string()),
+        ],
     );
+    serves_bit_identical_verdicts(
+        &engine,
+        "ipv6",
+        "IPv6",
+        Strategy::S2,
+        &[
+            "2001:db8::1::2", // two `::` runs
+            "2001:db8:0:0:0:0:0:0:1",
+            "192.168.0.1",
+            "not an address",
+            "",
+            "fe80::1",
+        ],
+    );
+}
 
-    // In-process reference verdicts from the live session.
+fn serves_bit_identical_verdicts(
+    engine: &AutoType,
+    slug: &str,
+    keyword: &str,
+    strategy: Strategy,
+    off_type: &[&str],
+) {
+    let ty = by_slug(slug).unwrap();
+    let mut ex_rng = StdRng::seed_from_u64(1);
+    let positives = ty.examples(&mut ex_rng, 20);
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut session = engine
+        .session(keyword, &positives, NegativeMode::Hierarchy, &mut rng)
+        .unwrap_or_else(|| panic!("{slug} session"));
+    assert_eq!(session.strategy, Some(strategy), "{slug}");
+    let ranked = session.rank(Method::DnfS);
+    let top = ranked.first().cloned().expect("ranked functions");
+
+    // --- Export. ---
+    let dir =
+        std::env::temp_dir().join(format!("autotype-serve-e2e-{}-{slug}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("00-{slug}.atpk"));
+    let pack = session
+        .save_pack(&top, slug, Method::DnfS, &path)
+        .expect("save pack");
+    assert!(pack.pack_id().starts_with(&format!("{slug}-")));
+    assert!(path.exists());
+
+    // The probe batch: valid values, near misses, and junk.
+    let mut batch: Vec<String> = positives.clone();
+    batch.extend(off_type.iter().map(|s| s.to_string()));
+
+    // In-process reference verdicts from the live session, which the
+    // session's in-memory detector must reproduce value for value.
     let reference: Vec<bool> = batch.iter().map(|v| session.validate(&top, v)).collect();
     assert!(reference.iter().any(|&b| b), "some positives must accept");
     assert!(reference.iter().any(|&b| !b), "some negatives must reject");
+    let detector = session
+        .batch_validator(&top)
+        .expect("top function detector");
+    for (value, &expected) in batch.iter().zip(&reference) {
+        assert_eq!(
+            detector.accepts(value),
+            expected,
+            "{slug}: batch_validator diverged from validate on {value:?}"
+        );
+    }
 
     // --- Serving: rebuilt purely from the pack directory. ---
     for workers in [1usize, 2, 4, 8] {
@@ -71,7 +113,7 @@ fn synthesized_pack_serves_bit_identical_verdicts() {
         let served: Vec<bool> = verdicts.iter().map(|v| v.is_some()).collect();
         assert_eq!(
             served, reference,
-            "pack verdicts diverged from the in-process session at workers={workers}"
+            "{slug}: pack verdicts diverged from the in-process session at workers={workers}"
         );
 
         // Second identical batch: all verdicts come from the cache.
