@@ -79,15 +79,6 @@ pub fn featurize(trace: &Trace) -> BTreeSet<Literal> {
     out
 }
 
-/// Only the return-value literals — the featurization of the RET baseline
-/// (§8.1), which treats functions as black boxes.
-pub fn featurize_returns_only(trace: &Trace) -> BTreeSet<Literal> {
-    featurize(trace)
-        .into_iter()
-        .filter(|l| matches!(l, Literal::Ret { .. } | Literal::Exception { .. }))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,29 +119,6 @@ mod tests {
             taken: false,
         };
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn returns_only_filters_branches() {
-        let mut trace = Trace::default();
-        let kind = trace.exc.intern("ValueError");
-        trace.events = vec![
-            TraceEvent::Branch {
-                site: SiteId::new(0, 6),
-                taken: true,
-            },
-            TraceEvent::Return {
-                site: SiteId::new(0, 20),
-                value: ValueSummary::Bool(true),
-            },
-            TraceEvent::Exception { kind },
-        ];
-        let t = featurize_returns_only(&trace);
-        assert_eq!(t.len(), 2);
-        assert!(t.iter().all(|l| !matches!(l, Literal::Branch { .. })));
-        assert!(t.contains(&Literal::Exception {
-            kind: "ValueError".to_string()
-        }));
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod harness;
 pub mod pool;
 
 pub use analyze::{analyze_module, AnalysisStats, Candidate, EntryPoint};
-pub use featurize::{featurize, featurize_returns_only, Literal};
+pub use featurize::{featurize, Literal};
 pub use harness::{harvest_value, probe_trace, Executor, PackageIndex, RunOutcome};
 pub use pool::{default_workers, ExecPool};

@@ -2,9 +2,10 @@
 //!
 //! The hot phase of a session executes every candidate function on every
 //! positive and negative example — thousands of independent interpreter
-//! runs. [`ExecPool::run_ordered`] shards a batch of jobs across N OS
-//! threads (std only: `std::thread::scope` plus a mutex-guarded work queue)
-//! and returns results **in input order**, so downstream consumers see
+//! runs. [`ExecPool::run_ordered`] shards a batch of jobs across N threads,
+//! the calling thread and N − 1 scoped helpers (std only:
+//! `std::thread::scope` plus a mutex-guarded work queue), and returns
+//! results **in input order**, so downstream consumers see
 //! exactly the sequence the serial loop would have produced.
 //!
 //! Determinism contract: if each job is a pure function of its input (the
@@ -14,7 +15,12 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
+
+/// Jobs run outside the queue and result locks, so a panicking job
+/// cannot poison them.
+const UNPOISONED: &str = "no job runs while the pool's locks are held";
 
 /// A fixed-width execution pool. Cheap to construct; threads are scoped to
 /// each [`run_ordered`](ExecPool::run_ordered) call, so an idle pool holds
@@ -22,14 +28,23 @@ use std::sync::Mutex;
 #[derive(Debug, Clone)]
 pub struct ExecPool {
     workers: usize,
+    /// The threads one `run_ordered` call may use: `workers` clamped to
+    /// the machine's `available_parallelism`, read once at construction.
+    threads: usize,
 }
 
 impl ExecPool {
     /// A pool with an explicit worker count (clamped to at least 1).
     pub fn new(workers: usize) -> ExecPool {
-        ExecPool {
-            workers: workers.max(1),
-        }
+        let workers = workers.max(1);
+        // On Linux `available_parallelism` reads cgroup files, so a
+        // one-worker pool, which can never use a second thread, skips it.
+        let threads = if workers == 1 {
+            1
+        } else {
+            workers.min(default_workers())
+        };
+        ExecPool { workers, threads }
     }
 
     /// A pool sized to the machine (`available_parallelism`, falling back
@@ -48,16 +63,20 @@ impl ExecPool {
     /// Items are claimed from a shared queue in input order, so with a
     /// single worker the execution order is exactly the serial loop's.
     /// A panic in any job is propagated to the caller with its original
-    /// payload after the scope unwinds.
+    /// payload once every thread has stopped.
     ///
-    /// The number of OS threads actually spawned is additionally clamped
-    /// to the machine's `available_parallelism`: the jobs are pure CPU
-    /// (interpreter runs, no blocking I/O), so threads beyond the core
-    /// count cannot add throughput — they only add context-switch and
-    /// lock-handoff overhead. Measured on a 1-core container, `workers=2`
-    /// made the table2 sessions phase ~46% slower than `workers=1` before
-    /// this clamp. Results are unaffected: the determinism contract above
-    /// makes the merged output bit-identical for every thread count.
+    /// The thread count is additionally clamped to the machine's
+    /// `available_parallelism`, read once when the pool is built: the jobs
+    /// are pure CPU (interpreter runs, no blocking I/O), so threads beyond
+    /// the core count cannot add throughput — they only add context-switch
+    /// and lock-handoff overhead. Measured on a 1-core container,
+    /// `workers=2` made the table2 sessions phase ~46% slower than
+    /// `workers=1` before this clamp. The calling thread drains the queue
+    /// as one of the workers: a call over `n` items uses the clamped count
+    /// or `n` threads, whichever is fewer, and spawns one fewer scoped
+    /// helpers, so a one-thread call spawns none. Results are unaffected:
+    /// the determinism contract above makes the merged output
+    /// bit-identical for every thread count.
     pub fn run_ordered<T, R, F>(&self, items: Vec<T>, work: F) -> Vec<R>
     where
         T: Send,
@@ -65,8 +84,8 @@ impl ExecPool {
         F: Fn(usize, T) -> R + Sync,
     {
         let n = items.len();
-        let threads = self.workers.min(default_workers());
-        if threads == 1 || n <= 1 {
+        let threads = self.threads.min(n);
+        if threads <= 1 {
             // The exact serial code path: no threads, no queue, no locks.
             return items
                 .into_iter()
@@ -78,29 +97,25 @@ impl ExecPool {
         let queue: Mutex<VecDeque<(usize, T)>> =
             Mutex::new(items.into_iter().enumerate().collect());
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-        let work = &work;
+        let drain = || loop {
+            // Hold the queue lock only for the pop: jobs are chunky (whole
+            // executor groups), so contention on this mutex is negligible.
+            let job = queue.lock().expect(UNPOISONED).pop_front();
+            let Some((index, item)) = job else {
+                break;
+            };
+            let result = work(index, item);
+            results.lock().expect(UNPOISONED)[index] = Some(result);
+        };
 
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads.min(n))
-                .map(|_| {
-                    s.spawn(|| loop {
-                        // Hold the queue lock only for the pop: jobs are
-                        // chunky (whole executor groups), so contention on
-                        // this mutex is negligible.
-                        let job = queue.lock().unwrap().pop_front();
-                        let Some((index, item)) = job else {
-                            break;
-                        };
-                        let result = work(index, item);
-                        results.lock().unwrap()[index] = Some(result);
-                    })
-                })
-                .collect();
-            // Join explicitly so a worker panic resurfaces with its
-            // original payload instead of the scope's generic message.
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in handles {
-                if let Err(payload) = handle.join() {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
+            // Catch the caller's own panic and join every helper
+            // explicitly, so a panic resurfaces with its original payload
+            // instead of the scope's generic message.
+            let mut panic = std::panic::catch_unwind(AssertUnwindSafe(drain)).err();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
                     panic.get_or_insert(payload);
                 }
             }
@@ -111,7 +126,7 @@ impl ExecPool {
 
         results
             .into_inner()
-            .unwrap()
+            .expect(UNPOISONED)
             .into_iter()
             .map(|slot| slot.expect("every queued job produces a result"))
             .collect()
@@ -197,6 +212,41 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(message.contains("job 3 exploded"), "payload: {message}");
+    }
+
+    #[test]
+    fn panic_propagates_from_the_caller_and_from_a_helper() {
+        let pool = ExecPool::new(2);
+        if pool.threads < 2 {
+            return; // a one-core machine runs every job on the caller
+        }
+        let caller = std::thread::current().id();
+        for panicking_on_caller in [true, false] {
+            // Jobs on the other side wait until a panicking job has been
+            // claimed, so both threads are certain to run a job.
+            let claimed = std::sync::atomic::AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run_ordered((0..8).collect::<Vec<usize>>(), |_, x| {
+                    if (std::thread::current().id() == caller) == panicking_on_caller {
+                        claimed.store(true, Ordering::SeqCst);
+                        panic!("job {x} exploded");
+                    }
+                    while !claimed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    x
+                })
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.starts_with("job ") && message.ends_with(" exploded"),
+                "caller panicked: {panicking_on_caller}, payload: {message}"
+            );
+        }
     }
 
     #[test]

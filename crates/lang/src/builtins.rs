@@ -300,7 +300,7 @@ pub fn call_method(
     line: u32,
 ) -> Result<Value, PyError> {
     match &recv {
-        Value::Str(s) => str_method(s, name, &args, line),
+        Value::Str(s) => str_method(interp, s, name, &args, line),
         Value::List(l) => {
             let l = l.clone();
             list_method(&l, name, args, line)
@@ -313,14 +313,17 @@ pub fn call_method(
             let f = f.clone();
             file_method(&f, name, &args, line)
         }
-        other => {
-            let _ = interp;
-            Err(PyError::attribute_error(other.type_name(), name, line))
-        }
+        other => Err(PyError::attribute_error(other.type_name(), name, line)),
     }
 }
 
-fn str_method(s: &str, name: &str, args: &[Value], line: u32) -> Result<Value, PyError> {
+fn str_method(
+    interp: &mut Interp,
+    s: &str,
+    name: &str,
+    args: &[Value],
+    line: u32,
+) -> Result<Value, PyError> {
     let arg_str = |i: usize| -> Result<&str, PyError> {
         match args.get(i) {
             Some(Value::Str(v)) => Ok(v.as_ref()),
@@ -433,6 +436,9 @@ fn str_method(s: &str, name: &str, args: &[Value], line: u32) -> Result<Value, P
             if len >= width {
                 Ok(Value::str(s.to_string()))
             } else {
+                // The padding is data-proportional work, charged before it
+                // is allocated, like `str * n`.
+                interp.charge_external((width - len) as u64)?;
                 let mut out = "0".repeat(width - len);
                 out.push_str(s);
                 Ok(Value::str(out))
@@ -860,6 +866,13 @@ mod tests {
             eval("range(-9223372036854775807, -9223372036854775807 - 1, -2)")
                 .py_eq(&Value::list(vec![Value::Int(i64::MIN + 1)]))
         );
+    }
+
+    #[test]
+    fn zfill_charges_fuel_for_its_padding() {
+        // 2^40 zeros would abort the process on allocation; the charge
+        // ends the call first.
+        assert_eq!(eval_err("'1'.zfill(1099511627776)").kind, PyError::FUEL);
     }
 
     #[test]

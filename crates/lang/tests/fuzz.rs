@@ -31,7 +31,7 @@ proptest! {
         input in "\\PC{0,30}",
     ) {
         let source = format!("def f(s):\n    return {body}\n");
-        if let Ok(_) = parse_source(&source) {
+        if parse_source(&source).is_ok() {
             let mut program = Program::new();
             if program.add_file("m", &source).is_ok() {
                 let mut interp = Interp::with_options(

@@ -281,6 +281,8 @@ mod tests {
         ]
     }
 
+    type Detector = (&'static str, Box<dyn Fn(&str) -> bool>);
+
     fn ipv4_like(v: &str) -> bool {
         let parts: Vec<&str> = v.split('.').collect();
         parts.len() == 4
@@ -292,8 +294,7 @@ mod tests {
     #[test]
     fn value_detection_uses_80_percent_threshold() {
         let cols = columns();
-        let detectors: Vec<(&'static str, Box<dyn Fn(&str) -> bool>)> =
-            vec![("ipv4", Box::new(ipv4_like))];
+        let detectors: Vec<Detector> = vec![("ipv4", Box::new(ipv4_like))];
         let detections = detect_by_values(&cols, &detectors);
         // Column 0 has 5/6 valid (83%) → detected; column 1 is the
         // version-number ambiguity → also detected (the §9.2 false
@@ -312,7 +313,7 @@ mod tests {
     #[test]
     fn batched_detection_matches_serial_at_every_worker_count() {
         let cols = columns();
-        let serial: Vec<(&'static str, Box<dyn Fn(&str) -> bool>)> = vec![
+        let serial: Vec<Detector> = vec![
             ("ipv4", Box::new(ipv4_like)),
             ("anything", Box::new(|v: &str| !v.is_empty())),
         ];
@@ -381,8 +382,7 @@ mod tests {
     #[test]
     fn scoring_computes_precision_and_pooled_recall() {
         let cols = columns();
-        let detectors: Vec<(&'static str, Box<dyn Fn(&str) -> bool>)> =
-            vec![("ipv4", Box::new(ipv4_like))];
+        let detectors: Vec<Detector> = vec![("ipv4", Box::new(ipv4_like))];
         let detections = detect_by_values(&cols, &detectors);
         let union = correct_columns(&detections, &cols, "ipv4");
         let outcome = score_type(&detections, &cols, "ipv4", &union);

@@ -83,7 +83,7 @@ fn isbn_column_detection_end_to_end() {
         }
     }
     assert!(
-        detected_truths.iter().any(|t| *t == Some("isbn")),
+        detected_truths.contains(&Some("isbn")),
         "at least one ISBN column must be detected"
     );
     // The GS1-checksum validator must not fire on non-ISBN columns (EAN
