@@ -291,8 +291,8 @@ fn bench_json() {
         let index_build_ms = ms(t);
         std::hint::black_box((&gh, &bing));
 
-        // Batched table2 column detection (the column × detector matrix
-        // through the exec pool).
+        // Batched table2 column detection (lazy tiered scheduling through
+        // the exec pool).
         let out = eval::table2_full(&engine, &cfg, 0.1, 600);
         println!(
             "workers={:<2} table2: sessions {:>9.3} ms  dnf-detect {:>9.3} ms  kw {:>7.3} ms  regex {:>8.3} ms  index-build {:>8.3} ms  ({} columns, {} dnf detections)",

@@ -216,8 +216,8 @@ impl AutoType {
         self.pool.workers()
     }
 
-    /// The engine's shared execution pool — evaluation drivers batch
-    /// column-detection jobs through it (see `detect_by_values_batched`).
+    /// The engine's shared execution pool — evaluation drivers schedule
+    /// column detection through it (see `detect_by_values_batched`).
     pub fn pool(&self) -> &ExecPool {
         &self.pool
     }

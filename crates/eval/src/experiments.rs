@@ -412,8 +412,8 @@ pub struct Table2Timings {
     pub columns: usize,
     /// Per-type synthesis: session build + ranking + pattern inference.
     pub sessions_ms: f64,
-    /// Batched DNF-S detection (the column × detector matrix through the
-    /// exec pool).
+    /// Batched DNF-S detection (lazy tiered scheduling through the exec
+    /// pool).
     pub dnf_ms: f64,
     /// Header-keyword baseline detection.
     pub kw_ms: f64,
@@ -448,12 +448,13 @@ pub fn table2(
 /// [`table2`] with detections and stage timings exposed.
 ///
 /// DNF-S detection is batched: each per-type synthesized validator becomes
-/// a thread-safe [`PackValidator`] handle, and the whole column × detector
-/// matrix fans out through the engine's exec pool as one job per cell
-/// (`detect_by_values_batched`). The merge is index-ordered with
-/// first-matching-type-wins per column and the strict `> VALUE_THRESHOLD`
-/// acceptance rule, so detections and `Table2Row` scores are bit-identical
-/// at every worker count — the same guarantee the trace engine pins in
+/// a thread-safe [`PackValidator`] handle, and `detect_by_values_batched`
+/// schedules the columns through the engine's exec pool one detector tier
+/// at a time, probing only the cells that can still change a verdict.
+/// Probes are pure, so first-matching-type-wins per column under the
+/// strict `> VALUE_THRESHOLD` rule gives detections and `Table2Row`
+/// scores that are bit-identical at every worker count — the same
+/// guarantee the trace engine pins in
 /// `crates/core/tests/parallel_determinism.rs`, pinned here by
 /// `crates/eval/tests/batched_detection.rs`.
 pub fn table2_full(

@@ -1,9 +1,9 @@
 //! The batched column-detection path's core guarantee, mirroring
 //! `crates/core/tests/parallel_determinism.rs`: `table2` run through the
 //! exec pool produces bit-identical per-method `Detection` sets and
-//! `Table2Row` scores at every worker count, because the column × detector
-//! matrix is merged in input order and each batch-validator call is a pure
-//! function of its input value.
+//! `Table2Row` scores at every worker count, because the lazy tiered
+//! scheduler decides each column from pure batch-validator calls, so which
+//! cells it skips or runs in parallel never changes a verdict.
 
 use autotype::{AutoType, AutoTypeConfig};
 use autotype_corpus::{build_corpus, CorpusConfig};

@@ -329,7 +329,7 @@ pub fn probe_trace(
 
 /// Harvest atomic values (and one level of composite decomposition) from a
 /// runtime value, per Appendix B.
-pub fn harvest_value(name: &str, value: &Value, out: &mut Vec<(String, String)>) {
+fn harvest_value(name: &str, value: &Value, out: &mut Vec<(String, String)>) {
     match value {
         Value::Str(_) | Value::Int(_) | Value::Float(_) | Value::Bool(_) => {
             out.push((name.to_string(), value.display()));

@@ -23,5 +23,5 @@ pub mod pool;
 
 pub use analyze::{analyze_module, AnalysisStats, Candidate, EntryPoint};
 pub use featurize::{featurize, Literal};
-pub use harness::{harvest_value, probe_trace, Executor, PackageIndex, RunOutcome};
+pub use harness::{probe_trace, Executor, PackageIndex, RunOutcome};
 pub use pool::{default_workers, ExecPool};

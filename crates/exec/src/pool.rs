@@ -47,12 +47,6 @@ impl ExecPool {
         ExecPool { workers, threads }
     }
 
-    /// A pool sized to the machine (`available_parallelism`, falling back
-    /// to 1 when the count cannot be determined).
-    pub fn with_default_workers() -> ExecPool {
-        ExecPool::new(default_workers())
-    }
-
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -130,12 +124,6 @@ impl ExecPool {
             .into_iter()
             .map(|slot| slot.expect("every queued job produces a result"))
             .collect()
-    }
-}
-
-impl Default for ExecPool {
-    fn default() -> Self {
-        ExecPool::with_default_workers()
     }
 }
 

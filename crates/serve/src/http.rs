@@ -30,21 +30,21 @@
 //!
 //! ## Bounded acceptor pool
 //!
-//! Accepted sockets flow through a bounded channel to a fixed pool of
+//! Accepted sockets flow through a bounded queue to a fixed pool of
 //! `max_connections` handler threads; when every handler is busy and the
 //! backlog is full, the acceptor sheds the connection inline with a 503
 //! (`autotype_connections_shed_total`) instead of spawning without bound.
 //! Request limits (body size, value count, read timeout) are enforced
 //! before any detection work runs; violations produce 4xx responses with a
 //! JSON error body. Graceful shutdown: a stop flag, a self-connect to
-//! unblock `accept`, sender drop to retire idle handlers, and a bounded
+//! unblock `accept`, a closed queue to retire idle handlers, and a bounded
 //! wait for in-flight connections.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::json::{self, Json};
@@ -104,7 +104,7 @@ impl ServerHandle {
 
     /// Stop accepting, wake the accept loop, and wait (bounded) for
     /// in-flight connections to drain. Handler threads exit on their own
-    /// once the acceptor drops the channel sender.
+    /// once the acceptor closes the handoff queue.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept() call with a throwaway connection.
@@ -121,37 +121,42 @@ impl ServerHandle {
 }
 
 /// Bind and start serving `runtime` in background threads; returns once
-/// the listener is bound (so `handle.addr()` is immediately usable).
+/// the listener is bound and every handler thread waits for a connection
+/// (so `handle.addr()` is immediately usable and nothing is shed for want
+/// of a started handler).
 pub fn serve(runtime: Arc<DetectorRuntime>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
 
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.accept_backlog);
-    let rx: Arc<Mutex<Receiver<TcpStream>>> = Arc::new(Mutex::new(rx));
-    for _ in 0..config.max_connections.max(1) {
-        let rx = rx.clone();
+    let handlers = config.max_connections.max(1);
+    let handoff = Arc::new(Handoff::default());
+    for _ in 0..handlers {
+        let handoff = handoff.clone();
         let runtime = runtime.clone();
         let config = config.clone();
         let active = active.clone();
-        std::thread::spawn(move || loop {
-            // Hold the lock only while claiming the next connection.
-            let conn = rx.lock().unwrap().recv();
-            match conn {
-                Ok(stream) => {
-                    active.fetch_add(1, Ordering::SeqCst);
-                    handle_connection(stream, &runtime, &config);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-                // Sender dropped: the acceptor has shut down.
-                Err(_) => break,
+        std::thread::spawn(move || {
+            while let Some(stream) = handoff.claim() {
+                active.fetch_add(1, Ordering::SeqCst);
+                handle_connection(stream, &runtime, &config);
+                active.fetch_sub(1, Ordering::SeqCst);
             }
         });
     }
+    // Return only once every handler waits for a connection, so the first
+    // connections are never shed because a handler has not started yet.
+    drop(
+        handoff
+            .ready
+            .wait_while(handoff.lock(), |q| q.idle < handlers)
+            .expect(UNPOISONED),
+    );
 
     let accept_stop = stop.clone();
     let accept_metrics = runtime.clone();
+    let backlog = config.accept_backlog;
     let accept_thread = std::thread::spawn(move || {
         for conn in listener.incoming() {
             if accept_stop.load(Ordering::SeqCst) {
@@ -160,17 +165,13 @@ pub fn serve(runtime: Arc<DetectorRuntime>, config: ServerConfig) -> std::io::Re
             let Ok(stream) = conn else { continue };
             let m = accept_metrics.metrics();
             Metrics::bump(&m.connections_total);
-            match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(stream)) => {
-                    Metrics::bump(&m.connections_shed);
-                    Metrics::bump(&m.http_errors);
-                    write_response(&stream, &Response::error(503, "server saturated"), false);
-                }
-                Err(TrySendError::Disconnected(_)) => break,
+            if let Err(stream) = handoff.offer(stream, backlog) {
+                Metrics::bump(&m.connections_shed);
+                Metrics::bump(&m.http_errors);
+                write_response(&stream, &Response::error(503, "server saturated"), false);
             }
         }
-        // Dropping `tx` here retires idle handler threads.
+        handoff.close();
     });
 
     Ok(ServerHandle {
@@ -179,6 +180,67 @@ pub fn serve(runtime: Arc<DetectorRuntime>, config: ServerConfig) -> std::io::Re
         active,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// Nothing that can panic runs under the handoff lock.
+const UNPOISONED: &str = "no handler panics while holding the handoff lock";
+
+/// The acceptor → handler-pool handoff: accepted connections waiting for a
+/// handler, and how many handlers are waiting for one. One lock guards
+/// both, so the acceptor's "is a handler free?" check cannot race a
+/// handler that is about to wait.
+#[derive(Default)]
+struct Handoff {
+    queue: Mutex<Queue>,
+    /// Signalled when a connection is queued or the acceptor closes.
+    work: Condvar,
+    /// Signalled when a handler becomes idle (`serve` waits on it).
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    streams: VecDeque<TcpStream>,
+    idle: usize,
+    closed: bool,
+}
+
+impl Handoff {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(UNPOISONED)
+    }
+
+    /// Queue `stream` if an idle handler or one of `backlog` slots can
+    /// take it; otherwise hand it back to be shed.
+    fn offer(&self, stream: TcpStream, backlog: usize) -> Result<(), TcpStream> {
+        let mut q = self.lock();
+        if q.streams.len() >= q.idle + backlog {
+            return Err(stream);
+        }
+        q.streams.push_back(stream);
+        self.work.notify_one();
+        Ok(())
+    }
+
+    /// Wait idle for the next connection; `None` once the acceptor has
+    /// closed and the queue is drained.
+    fn claim(&self) -> Option<TcpStream> {
+        let mut q = self.lock();
+        q.idle += 1;
+        self.ready.notify_one();
+        let mut q = self
+            .work
+            .wait_while(q, |q| q.streams.is_empty() && !q.closed)
+            .expect(UNPOISONED);
+        q.idle -= 1;
+        q.streams.pop_front()
+    }
+
+    /// Retire the handlers once they have drained the queue.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.work.notify_all();
+    }
 }
 
 struct Response {
@@ -500,7 +562,8 @@ fn detect_endpoint(runtime: &DetectorRuntime, body: &str, config: &ServerConfig)
         (Ok(v), Ok(f)) => (v, f),
         (Err(resp), _) | (_, Err(resp)) => return resp,
     };
-    let verdicts = runtime.detect_batch_with(&values, max_fuel);
+    let columns: Vec<&[String]> = values.iter().map(std::slice::from_ref).collect();
+    let verdicts = runtime.detect_columns(&columns, max_fuel);
     let results: Vec<String> = values
         .iter()
         .zip(&verdicts)
@@ -528,7 +591,7 @@ fn detect_column_endpoint(
         (Ok(v), Ok(f)) => (v, f),
         (Err(resp), _) | (_, Err(resp)) => return resp,
     };
-    let pack = runtime.detect_column_with(&values, max_fuel);
+    let pack = runtime.detect_columns(&[&values], max_fuel)[0];
     Response::json(
         200,
         format!(

@@ -4,39 +4,37 @@
 //!
 //! ## Semantics
 //!
-//! Detection follows the evaluation driver's contract exactly
-//! (`autotype_tables::detect_by_values_mut` and the batched variant):
-//! packs are scanned in **priority order** — lexicographic pack-file order
-//! at load time — and the **first** pack that accepts a value (or whose
-//! per-column accept fraction clears `VALUE_THRESHOLD`) wins. Verdicts are
-//! pure functions of `(pack, value)` (leased executors are rolled back to
-//! the pack snapshot after every probe), so the cache, the pool, and the
-//! scheduler are all transparent: any worker count, any cache state, and
-//! any probe order produce bit-identical answers.
+//! Detection is the evaluation driver's §9.1 rule, run by the same code:
+//! every `detect_*` method goes through
+//! [`detect_columns`](DetectorRuntime::detect_columns), which hands
+//! [`autotype_tables::detect_columns`] a probe that consults the cache and
+//! leased executors. Packs are scanned in **priority order** —
+//! lexicographic pack-file order at load time — and the **first** pack
+//! whose per-column accept fraction clears `VALUE_THRESHOLD` wins; a value
+//! is a one-value column, so for it that is the first pack that accepts.
+//! Verdicts are pure functions of `(pack, value)` (leased executors are
+//! rolled back to the pack snapshot after every probe), so the cache, the
+//! pool, and the scheduler are all transparent: any worker count, any
+//! cache state, and any probe order produce bit-identical answers.
 //!
 //! ## Lazy tiered scheduling
 //!
-//! First-match-wins makes most of the eager `value × pack` matrix dead
-//! work: once pack 0 accepts a value, packs 1..N can never be consulted
-//! for it. The scheduler therefore probes **one pack tier at a time**
-//! across all still-unresolved values (each tier is one
-//! [`ExecPool::run_ordered`] fan-out), drops resolved values, and advances
-//! to the next tier. Columns additionally stop a tier's wave as soon as
-//! the accept count either mathematically clears `VALUE_THRESHOLD` or can
-//! no longer reach it. Probe purity is what makes this safe: skipping a
-//! cell the merge would have discarded anyway changes no verdict, only the
-//! probe count — exported as `autotype_probes_saved_total`. The serial
-//! full-matrix oracle the scheduler is checked against lives in
-//! `tests/lazy_eager.rs`.
+//! The scheduler probes one pack tier at a time across the still-unclaimed
+//! columns, stops a column's tier once its accept count decides the
+//! threshold, and never consults later packs for a claimed column. The
+//! cells of the `value × pack` matrix it skips are exported as
+//! `autotype_probes_saved_total`. The serial full-matrix oracle the
+//! runtime is checked against lives in `tests/lazy_eager.rs`.
 //!
 //! ## Per-request fuel ceilings
 //!
-//! Every `detect_*_with` entry point takes an optional `max_fuel`, clamped
-//! per pack to `min(max_fuel, pack.fuel)`. A ceiling **below** a pack's
-//! own budget changes what a verdict means (a long-running probe exhausts
-//! early and rejects), so capped probes bypass the `(pack, value)`-keyed
-//! cache in both directions — they neither read stale full-budget verdicts
-//! nor poison the cache with starved ones.
+//! [`detect_columns`](DetectorRuntime::detect_columns) takes an optional
+//! `max_fuel`, clamped per pack to `min(max_fuel, pack.fuel)`. A ceiling
+//! **below** a pack's own budget changes what a verdict means (a
+//! long-running probe exhausts early and rejects), so capped probes
+//! bypass the `(pack, value)`-keyed cache in both directions — they
+//! neither read stale full-budget verdicts nor poison the cache with
+//! starved ones.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -45,7 +43,7 @@ use std::time::Instant;
 
 use autotype_exec::ExecPool;
 use autotype_pack::{load_pack, PackError, PackValidator, ProbeExecutor, PACK_EXTENSION};
-use autotype_tables::VALUE_THRESHOLD;
+use autotype_tables::detect_columns;
 
 use crate::cache::ShardedLru;
 use crate::metrics::Metrics;
@@ -54,11 +52,6 @@ use crate::metrics::Metrics;
 /// worker count: 16 mutexes are cheap and keep contention negligible even
 /// on large machines.
 const CACHE_SHARDS: usize = 16;
-
-/// Cells per column contributed to one scheduling wave: `workers × this`.
-/// Large enough that a wave keeps every pool worker busy, small enough
-/// that column early-termination still skips most of a long column.
-const WAVE_FACTOR: usize = 4;
 
 /// Everything a serving process needs, built once at startup.
 pub struct DetectorRuntime {
@@ -178,208 +171,59 @@ impl DetectorRuntime {
     /// Detect a single value: first pack (in priority order) that accepts.
     /// Returns the pack index.
     pub fn detect_value(&self, value: &str) -> Option<usize> {
-        self.detect_value_with(value, None)
+        self.detect_columns(&[&[value.to_string()]], None)[0]
     }
 
-    /// [`detect_value`](Self::detect_value) with an optional per-request
-    /// fuel ceiling.
-    pub fn detect_value_with(&self, value: &str, max_fuel: Option<u64>) -> Option<usize> {
-        self.metrics.values_served.fetch_add(1, Ordering::Relaxed);
-        let mut issued = 0u64;
-        let found = (0..self.packs.len()).find(|&pi| {
-            issued += 1;
-            self.probe_capped(pi, value, max_fuel)
-        });
-        self.metrics
-            .probes_saved
-            .fetch_add(self.packs.len() as u64 - issued, Ordering::Relaxed);
-        found
-    }
-
-    /// Detect a batch of values with lazy tiered scheduling: probe pack 0
-    /// across all values through the pool, drop the values it claimed,
-    /// advance to pack 1 with the survivors, and so on. Identical verdicts
-    /// to mapping [`detect_value`](Self::detect_value) over the batch;
-    /// cells below the first match are never issued.
+    /// Detect a batch of values: each value is a one-value column, so each
+    /// pack tier probes every still-unclaimed value in one fan-out.
+    /// Identical verdicts to mapping [`detect_value`](Self::detect_value)
+    /// over the batch; cells below the first match are never issued.
     pub fn detect_batch(&self, values: &[String]) -> Vec<Option<usize>> {
-        self.detect_batch_with(values, None)
-    }
-
-    /// [`detect_batch`](Self::detect_batch) with an optional per-request
-    /// fuel ceiling.
-    pub fn detect_batch_with(
-        &self,
-        values: &[String],
-        max_fuel: Option<u64>,
-    ) -> Vec<Option<usize>> {
-        self.metrics
-            .values_served
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        let npacks = self.packs.len();
-        let mut out = vec![None; values.len()];
-        if npacks == 0 || values.is_empty() {
-            return out;
-        }
-        let mut issued = 0u64;
-        let mut unresolved: Vec<usize> = (0..values.len()).collect();
-        for pi in 0..npacks {
-            if unresolved.is_empty() {
-                break;
-            }
-            issued += unresolved.len() as u64;
-            let verdicts = self.pool.run_ordered(unresolved.clone(), |_, vi| {
-                self.probe_capped(pi, &values[vi], max_fuel)
-            });
-            let mut survivors = Vec::with_capacity(unresolved.len());
-            for (&vi, verdict) in unresolved.iter().zip(verdicts) {
-                if verdict {
-                    out[vi] = Some(pi);
-                } else {
-                    survivors.push(vi);
-                }
-            }
-            unresolved = survivors;
-        }
-        self.metrics
-            .probes_saved
-            .fetch_add((values.len() * npacks) as u64 - issued, Ordering::Relaxed);
-        out
+        let columns: Vec<&[String]> = values.iter().map(std::slice::from_ref).collect();
+        self.detect_columns(&columns, None)
     }
 
     /// Detect a whole column: first pack (in priority order) whose accept
-    /// fraction over the column clears `VALUE_THRESHOLD` — the exact
-    /// semantics of the evaluation driver's `detect_by_values_mut`, with
-    /// lazy tiered scheduling and intra-tier early termination.
+    /// fraction over the column clears `VALUE_THRESHOLD`.
     pub fn detect_column(&self, values: &[String]) -> Option<usize> {
-        self.detect_column_with(values, None)
+        self.detect_columns(&[values], None)[0]
     }
 
-    /// [`detect_column`](Self::detect_column) with an optional per-request
-    /// fuel ceiling.
-    pub fn detect_column_with(&self, values: &[String], max_fuel: Option<u64>) -> Option<usize> {
-        self.detect_columns_tiered(&[values], max_fuel)[0]
-    }
-
-    /// Detect every column of a table in one tiered schedule — the
+    /// Detect every column of a table in one schedule — the
     /// `POST /detect/table` fan-out. Per column, the verdict equals
-    /// [`detect_column`](Self::detect_column); across columns, each tier's
-    /// waves interleave all undecided columns so the pool stays saturated.
+    /// [`detect_column`](Self::detect_column).
     pub fn detect_table(
         &self,
         columns: &[Vec<String>],
         max_fuel: Option<u64>,
     ) -> Vec<Option<usize>> {
         let refs: Vec<&[String]> = columns.iter().map(Vec::as_slice).collect();
-        self.detect_columns_tiered(&refs, max_fuel)
+        self.detect_columns(&refs, max_fuel)
     }
 
-    /// The tiered column scheduler. For each pack tier, still-unclaimed
-    /// columns contribute waves of `workers × WAVE_FACTOR` cells each; a
-    /// column stops probing within the tier the moment its accept count
-    /// reaches [`min_accepts_to_pass`] (it passes whatever the remaining
-    /// values say) or mathematically cannot reach it (it fails). Columns a
-    /// tier claims drop out of later tiers entirely.
-    fn detect_columns_tiered(
+    /// The one detection entry point: each column's first passing pack,
+    /// scheduled by [`autotype_tables::detect_columns`] through the
+    /// runtime's pool and cache, with an optional per-request fuel
+    /// ceiling. Every other `detect_*` method and every HTTP route goes
+    /// through here.
+    pub fn detect_columns(
         &self,
         columns: &[&[String]],
         max_fuel: Option<u64>,
     ) -> Vec<Option<usize>> {
-        let total: u64 = columns.iter().map(|c| c.len() as u64).sum();
+        let total: usize = columns.iter().map(|c| c.len()).sum();
         self.metrics
             .values_served
-            .fetch_add(total, Ordering::Relaxed);
+            .fetch_add(total as u64, Ordering::Relaxed);
         let npacks = self.packs.len();
-        let mut out = vec![None; columns.len()];
-        if npacks == 0 || total == 0 {
-            return out;
-        }
-        let wave = self.pool.workers().max(1) * WAVE_FACTOR;
-        let mut issued = 0u64;
-        let mut unresolved: Vec<usize> = (0..columns.len())
-            .filter(|&ci| !columns[ci].is_empty())
-            .collect();
-        for pi in 0..npacks {
-            if unresolved.is_empty() {
-                break;
-            }
-            // Per-column probe state within this tier.
-            struct TierState {
-                ci: usize,
-                probed: usize,
-                accepted: usize,
-                need: usize,
-                decided: Option<bool>,
-            }
-            let mut tiers: Vec<TierState> = unresolved
-                .iter()
-                .map(|&ci| TierState {
-                    ci,
-                    probed: 0,
-                    accepted: 0,
-                    need: min_accepts_to_pass(columns[ci].len()),
-                    decided: None,
-                })
-                .collect();
-            let column_of: Vec<usize> = unresolved.clone();
-            loop {
-                let mut cells: Vec<(usize, usize)> = Vec::new();
-                for (ti, t) in tiers.iter().enumerate() {
-                    if t.decided.is_none() {
-                        let hi = (t.probed + wave).min(columns[t.ci].len());
-                        cells.extend((t.probed..hi).map(|vi| (ti, vi)));
-                    }
-                }
-                if cells.is_empty() {
-                    break;
-                }
-                issued += cells.len() as u64;
-                let verdicts = self.pool.run_ordered(cells.clone(), |_, (ti, vi)| {
-                    self.probe_capped(pi, &columns[column_of[ti]][vi], max_fuel)
-                });
-                for (&(ti, _), verdict) in cells.iter().zip(verdicts) {
-                    tiers[ti].probed += 1;
-                    if verdict {
-                        tiers[ti].accepted += 1;
-                    }
-                }
-                for t in tiers.iter_mut() {
-                    if t.decided.is_some() {
-                        continue;
-                    }
-                    let remaining = columns[t.ci].len() - t.probed;
-                    if t.accepted >= t.need {
-                        t.decided = Some(true);
-                    } else if t.accepted + remaining < t.need {
-                        t.decided = Some(false);
-                    }
-                }
-            }
-            let mut survivors = Vec::with_capacity(tiers.len());
-            for t in &tiers {
-                if t.decided == Some(true) {
-                    out[t.ci] = Some(pi);
-                } else {
-                    survivors.push(t.ci);
-                }
-            }
-            unresolved = survivors;
-        }
+        let (found, issued) = detect_columns(columns, npacks, &self.pool, |pi, v| {
+            self.probe_capped(pi, v, max_fuel)
+        });
         self.metrics
             .probes_saved
-            .fetch_add(total * npacks as u64 - issued, Ordering::Relaxed);
-        out
+            .fetch_add((total * npacks - issued) as u64, Ordering::Relaxed);
+        found
     }
-}
-
-/// The smallest accept count that clears `column_passes` for a column of
-/// `n` values — i.e. the least `a` with `a / n > VALUE_THRESHOLD`. Returns
-/// `n + 1` (unreachable) for an empty column, matching "empty columns
-/// never pass". Computed with the same `f64` comparison `column_passes`
-/// uses so the two can never disagree on a boundary count.
-fn min_accepts_to_pass(n: usize) -> usize {
-    (0..=n)
-        .find(|&a| a as f64 / n as f64 > VALUE_THRESHOLD)
-        .unwrap_or(n + 1)
 }
 
 #[cfg(test)]
@@ -388,7 +232,6 @@ mod tests {
     use autotype_exec::{EntryPoint, Literal};
     use autotype_lang::{SiteId, ValueSummary};
     use autotype_pack::Pack;
-    use autotype_tables::column_passes;
 
     /// A pack whose DNF-E is just the synthetic black-box literal "the
     /// function returned True" — robust to branch-site numbering, so the
@@ -572,12 +415,15 @@ mod tests {
         let misses = Metrics::read(&rt.metrics().cache_misses);
         // A starved probe rejects everywhere — and must not read or write
         // the cache.
-        assert_eq!(rt.detect_value_with("ab", Some(1)), None);
+        assert_eq!(rt.detect_columns(&[&["ab".to_string()]], Some(1))[0], None);
         assert_eq!(Metrics::read(&rt.metrics().cache_misses), misses);
         // The cached full-budget verdict is unharmed.
         assert_eq!(rt.detect_value("ab"), Some(0));
         // A generous cap clamps to the pack budget and may use the cache.
-        assert_eq!(rt.detect_value_with("ab", Some(u64::MAX)), Some(0));
+        assert_eq!(
+            rt.detect_columns(&[&["ab".to_string()]], Some(u64::MAX))[0],
+            Some(0)
+        );
     }
 
     #[test]
@@ -595,29 +441,5 @@ mod tests {
             reused > cloned,
             "steady state must reuse: {reused} vs {cloned}"
         );
-    }
-
-    #[test]
-    fn min_accepts_matches_column_passes_on_boundaries() {
-        for n in 0..=50usize {
-            let need = min_accepts_to_pass(n);
-            for accepted in 0..=n {
-                let values: Vec<String> = (0..n).map(|i| i.to_string()).collect();
-                let mut left = accepted;
-                let passes = column_passes(&values, |_| {
-                    if left > 0 {
-                        left -= 1;
-                        true
-                    } else {
-                        false
-                    }
-                });
-                assert_eq!(
-                    passes,
-                    accepted >= need,
-                    "n={n} accepted={accepted} need={need}"
-                );
-            }
-        }
     }
 }

@@ -7,7 +7,11 @@
 //! [`corpus`] generates a synthetic column population matching Table 2's
 //! per-type counts and failure modes; [`regex`] implements the pattern
 //! inference baseline; [`detect`] implements the three detection methods
-//! and the precision / pooled-recall / F-score bookkeeping.
+//! and the precision / pooled-recall / F-score bookkeeping. Its
+//! [`detect_columns`] is the one scheduler for the §9.1 column rule
+//! (first type in priority order with more than 80 % of values
+//! accepted): the table experiment and the serving runtime
+//! (`autotype-serve`) both detect through it.
 
 pub mod corpus;
 pub mod detect;
@@ -15,8 +19,7 @@ pub mod regex;
 
 pub use corpus::{generate_columns, Column, TableConfig, PAPER_TYPE_COUNTS};
 pub use detect::{
-    column_passes, correct_columns, detect_by_header, detect_by_pattern, detect_by_values,
-    detect_by_values_batched, detect_by_values_mut, score_type, Detection, SyncValueDetector,
-    TypeOutcome, ValueDetector, ValueDetectorMut, VALUE_THRESHOLD,
+    column_passes, correct_columns, detect_by_header, detect_by_pattern, detect_by_values_batched,
+    detect_columns, score_type, Detection, SyncValueDetector, TypeOutcome, VALUE_THRESHOLD,
 };
 pub use regex::{infer_pattern, InferredPattern, PTok};

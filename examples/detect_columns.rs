@@ -57,9 +57,9 @@ fn main() {
         VALUE_THRESHOLD * 100.0
     );
 
-    // Batch the whole column × detector matrix through the engine's exec
-    // pool: each synthesized validator becomes a thread-safe batch handle,
-    // and the index-ordered merge keeps first-matching-type-wins semantics
+    // Schedule the columns through the engine's exec pool: each
+    // synthesized validator becomes a thread-safe batch handle, and since
+    // every call is pure, first-matching-type-wins detections are
     // identical at every worker count.
     let handles: Vec<(&'static str, PackValidator)> = synthesized
         .iter()

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, tier-1 tests, the
 # complete workspace test suite (including the vendored stub crates),
-# perfbench's build and unit tests, and a warnings-as-errors clippy pass.
+# perfbench's build and unit tests, and warnings-as-errors clippy and
+# rustdoc passes (the latter catches intra-doc links to moved or deleted
+# items).
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -31,5 +33,8 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml --bins -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "verify: all green"
