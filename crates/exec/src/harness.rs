@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use autotype_lang::ast::{Expr, Stmt, Target};
+use autotype_lang::ast::{Expr, Module, Stmt, Target};
 use autotype_lang::interp::{Interp, Io, Program};
 use autotype_lang::trace::Trace;
 use autotype_lang::value::Value;
@@ -100,6 +100,9 @@ pub struct Executor {
     /// The repository program, with statically-resolvable dependencies
     /// already installed.
     program: Program,
+    /// `open(...)` targets of each program file (see [`open_targets`]),
+    /// indexed by file id and kept in step with `program.files`.
+    open_targets: Vec<Vec<String>>,
     fuel: u64,
     pub installs: usize,
 }
@@ -134,11 +137,7 @@ impl Executor {
                 }
             }
         }
-        Executor {
-            program,
-            fuel,
-            installs,
-        }
+        Executor::from_snapshot(program, fuel, installs)
     }
 
     /// Rehydrate an executor from a serialized snapshot **without**
@@ -151,8 +150,14 @@ impl Executor {
     /// The snapshot is that post-resolution file list, so re-resolving here
     /// would at best be a no-op and at worst shift file ids.
     pub fn from_snapshot(program: Program, fuel: u64, installs: usize) -> Executor {
+        let open_targets = program
+            .files
+            .iter()
+            .map(|f| open_targets(&f.module))
+            .collect();
         Executor {
             program,
+            open_targets,
             fuel,
             installs,
         }
@@ -184,6 +189,7 @@ impl Executor {
     pub fn reset_snapshot(&mut self, files: usize, installs: usize) {
         debug_assert!(files <= self.program.files.len());
         self.program.files.truncate(files);
+        self.open_targets.truncate(files);
         self.installs = installs;
     }
 
@@ -204,24 +210,38 @@ impl Executor {
         })
     }
 
-    /// Run a candidate on one input string, tracing the execution. Applies
-    /// the dynamic install loop when an `ImportError` names a package that
-    /// exists in the index.
+    /// Run a candidate on one input string, tracing the execution and
+    /// harvesting its values for §7.1. Applies the dynamic install loop when
+    /// an `ImportError` names a package that exists in the index.
     pub fn run(
         &mut self,
         candidate: &Candidate,
         input: &str,
         packages: &PackageIndex,
     ) -> RunOutcome {
+        self.run_installing(candidate, input, packages, true)
+    }
+
+    /// [`Executor::run`], with the §7.1 harvest only when `with_harvest`
+    /// is set (a probe discards it, so [`probe_trace`] skips it).
+    fn run_installing(
+        &mut self,
+        candidate: &Candidate,
+        input: &str,
+        packages: &PackageIndex,
+        with_harvest: bool,
+    ) -> RunOutcome {
         for round in 0..MAX_INSTALL_ROUNDS {
-            let outcome = self.run_once(candidate, input, round);
+            let outcome = self.run_once(candidate, input, round, with_harvest);
             if let Err(e) = &outcome.result {
                 if e.kind == "ImportError" {
                     if let Some(module) = e.message.strip_prefix("No module named ") {
                         let module = module.trim().to_string();
                         if self.program.file_id(&module).is_none() {
                             if let Some(source) = packages.get(&module) {
-                                if self.program.add_file(&module, source).is_ok() {
+                                if let Ok(id) = self.program.add_file(&module, source) {
+                                    let module = &self.program.file(id).module;
+                                    self.open_targets.push(open_targets(module));
                                     self.installs += 1;
                                     continue; // rerun with the new package
                                 }
@@ -232,10 +252,16 @@ impl Executor {
             }
             return outcome;
         }
-        self.run_once(candidate, input, MAX_INSTALL_ROUNDS)
+        self.run_once(candidate, input, MAX_INSTALL_ROUNDS, with_harvest)
     }
 
-    fn run_once(&self, candidate: &Candidate, input: &str, installs: usize) -> RunOutcome {
+    fn run_once(
+        &self,
+        candidate: &Candidate,
+        input: &str,
+        installs: usize,
+        with_harvest: bool,
+    ) -> RunOutcome {
         let file = candidate.file;
         // Pre-populate implicit-parameter channels for variants 4-6.
         let mut io = Io {
@@ -243,8 +269,8 @@ impl Executor {
             stdin: Some(input.to_string()),
             ..Io::default()
         };
-        for name in open_targets(&self.program, file) {
-            io.files.insert(name, input.to_string());
+        for name in &self.open_targets[file as usize] {
+            io.files.insert(name.clone(), input.to_string());
         }
 
         // Variant 7 rewrites the module before execution.
@@ -281,6 +307,7 @@ impl Executor {
 
         let mut harvest = Vec::new();
         match (&candidate.entry, &result) {
+            _ if !with_harvest => {}
             (EntryPoint::ScriptConstant { .. }, Ok(_)) => {
                 // Harvest module globals.
                 if let Ok(globals) = interp.load_module(file) {
@@ -321,7 +348,7 @@ pub fn probe_trace(
     input: &str,
     packages: &PackageIndex,
 ) -> (std::collections::BTreeSet<crate::Literal>, u64) {
-    let outcome = exec.run(candidate, input, packages);
+    let outcome = exec.run_installing(candidate, input, packages, false);
     let mut trace = crate::featurize(&outcome.trace);
     trace.insert(outcome.black_box_literal());
     (trace, outcome.fuel_used)
@@ -369,10 +396,10 @@ fn harvest_value(name: &str, value: &Value, out: &mut Vec<(String, String)>) {
 }
 
 /// String literals passed to `open(...)` anywhere in a file — the virtual
-/// files the harness must fill with the input (variant 6).
-fn open_targets(program: &Program, file: u32) -> Vec<String> {
+/// files the harness must fill with the input (variant 6). An executor
+/// walks each file once, when the file joins its program.
+fn open_targets(module: &Module) -> Vec<String> {
     let mut names = Vec::new();
-    let module = &program.file(file).module;
     collect_open_targets(&module.body, &mut names);
     names
 }
@@ -382,8 +409,8 @@ fn collect_open_targets(body: &[Stmt], names: &mut Vec<String>) {
         if let Expr::Call { callee, args, .. } = e {
             if matches!(callee.as_ref(), Expr::Name(n) if n == "open") {
                 if let Some(Expr::Str(path)) = args.first() {
-                    if !names.contains(path) {
-                        names.push(path.clone());
+                    if !names.iter().any(|n| n.as_str() == path.as_ref()) {
+                        names.push(path.to_string());
                     }
                 }
             }
@@ -436,8 +463,9 @@ fn collect_open_targets(body: &[Stmt], names: &mut Vec<String>) {
 
 /// Replace the first module-level string-constant assignment to `variable`
 /// with the given input (Appendix D.1, Listing 3). The program clone is
-/// shallow (files are `Arc`-shared); only the rewritten file's AST is
-/// copied, via `Arc::make_mut`.
+/// shallow (files are `Arc`-shared); only the rewritten file's top-level
+/// statements are copied, via `Arc::make_mut`, and its function bodies
+/// stay shared.
 fn rewrite_script_constant(program: &Program, file: u32, variable: &str, input: &str) -> Program {
     let mut rewritten = program.clone();
     let module = &mut Arc::make_mut(&mut rewritten.files[file as usize]).module;
@@ -449,7 +477,7 @@ fn rewrite_script_constant(program: &Program, file: u32, variable: &str, input: 
         } = stmt
         {
             if name == variable {
-                *value = Expr::Str(input.to_string());
+                *value = Expr::Str(input.into());
                 break;
             }
         }
@@ -645,14 +673,171 @@ def f(s):
 
     #[test]
     fn rewriting_shares_unrelated_files() {
-        let mut program = program_with("card = '4111111111111111'\nresult = len(card)\n");
+        let mut program = program_with(
+            "card = '4111111111111111'\nresult = len(card)\n\ndef f(s):\n    return s\n",
+        );
         program
             .add_file("other", "def g():\n    return 1\n")
             .unwrap();
         let rewritten = rewrite_script_constant(&program, 0, "card", "12345");
-        // Only the rewritten file's AST is copied.
+        // Only the rewritten file's top level is copied; its function
+        // bodies stay shared.
         assert!(!Arc::ptr_eq(&program.files[0], &rewritten.files[0]));
         assert!(Arc::ptr_eq(&program.files[1], &rewritten.files[1]));
+        let def = |p: &Program| match &p.file(0).module.body[2] {
+            Stmt::FuncDef(f) => f.clone(),
+            _ => panic!("expected a def"),
+        };
+        assert!(Arc::ptr_eq(&def(&program), &def(&rewritten)));
+    }
+
+    /// Module-level list and dict literals, a class and two defs: the
+    /// shapes a run re-executes as module init on every probe.
+    const PINNED_SNIPPET: &str = r#"
+KNOWN = ['jan', 'feb', 'mar']
+MONTHS = {'jan': 1, 'feb': 2, 'mar': 3}
+
+class Parser:
+    def __init__(self):
+        self.seen = 0
+    def month(self, s):
+        self.seen += 1
+        return MONTHS.get(s[:3].lower(), 0)
+
+def known(s):
+    return s[:3].lower() in KNOWN
+
+def check(s):
+    if len(s) < 3:
+        return False
+    if known(s):
+        return Parser().month(s) > 0
+    return False
+"#;
+
+    #[test]
+    fn probe_fuel_and_literals_are_pinned() {
+        use autotype_lang::{SiteId, ValueSummary};
+        let branch = |line, taken| crate::Literal::Branch {
+            site: SiteId::new(0, line),
+            taken,
+        };
+        let ret = |file, line, value| crate::Literal::Ret {
+            site: SiteId::new(file, line),
+            value,
+        };
+        let program = program_with(PINNED_SNIPPET);
+        let (cands, _) = analyze_module(0, &program.file(0).module);
+        let check = cands
+            .into_iter()
+            .find(|c| matches!(&c.entry, EntryPoint::Function { name } if name == "check"))
+            .unwrap();
+        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        // Fuel and literals recorded before definitions and string literals
+        // were shared with the AST; sharing must not move either.
+        let pinned = [
+            (
+                "February",
+                57,
+                vec![
+                    branch(16, false),
+                    branch(18, true),
+                    ret(0, 10, ValueSummary::NumZero(false)),
+                    ret(0, 13, ValueSummary::Bool(true)),
+                    ret(0, 19, ValueSummary::Bool(true)),
+                    ret(u32::MAX, 0, ValueSummary::Bool(true)),
+                ],
+            ),
+            (
+                "xyzzy",
+                35,
+                vec![
+                    branch(16, false),
+                    branch(18, false),
+                    ret(0, 13, ValueSummary::Bool(false)),
+                    ret(0, 20, ValueSummary::Bool(false)),
+                    ret(u32::MAX, 0, ValueSummary::Bool(false)),
+                ],
+            ),
+            (
+                "ab",
+                26,
+                vec![
+                    branch(16, true),
+                    ret(0, 17, ValueSummary::Bool(false)),
+                    ret(u32::MAX, 0, ValueSummary::Bool(false)),
+                ],
+            ),
+        ];
+        for (input, fuel, literals) in pinned {
+            let (trace, probe_fuel) = probe_trace(&mut exec, &check, input, &PackageIndex::new());
+            assert_eq!(probe_fuel, fuel, "probe fuel on {input:?}");
+            assert_eq!(
+                trace,
+                literals.into_iter().collect(),
+                "literals on {input:?}"
+            );
+            let run = exec.run(&check, input, &PackageIndex::new());
+            assert_eq!(run.fuel_used, fuel, "run fuel on {input:?}");
+        }
+    }
+
+    #[test]
+    fn probes_skip_the_harvest_and_runs_keep_it() {
+        let program = program_with("def f(s):\n    return len(s)\n");
+        let cand = first_candidate(&program);
+        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let (_, probe_fuel) = probe_trace(&mut exec, &cand, "abc", &PackageIndex::new());
+        let probe = exec.run_installing(&cand, "abc", &PackageIndex::new(), false);
+        assert!(probe.harvest.is_empty());
+        let run = exec.run(&cand, "abc", &PackageIndex::new());
+        assert_eq!(run.harvest, vec![("return".to_string(), "3".to_string())]);
+        assert_eq!((probe.fuel_used, run.fuel_used), (probe_fuel, probe_fuel));
+        assert_eq!(probe.trace, run.trace);
+    }
+
+    #[test]
+    fn cached_open_targets_match_a_fresh_walk() {
+        fn assert_fresh(exec: &Executor) {
+            let fresh: Vec<Vec<String>> = exec
+                .program
+                .files
+                .iter()
+                .map(|f| open_targets(&f.module))
+                .collect();
+            assert_eq!(exec.open_targets, fresh);
+        }
+        let mut packages = PackageIndex::new();
+        packages.insert(
+            "staticlib",
+            "def load():\n    fp = open('static.txt')\n    return fp.read()\n",
+        );
+        packages.insert(
+            "latelib",
+            "def load():\n    fp = open('late.txt')\n    return fp.read()\n",
+        );
+        let src = "import staticlib\n\ndef main():\n    import latelib\n    fp = open('data.txt')\n    return fp.read() + latelib.load()\n";
+        let program = program_with(src);
+        let cand = first_candidate(&program);
+
+        let mut exec = Executor::new(program.clone(), &packages, FUEL);
+        assert_eq!(exec.program.files.len(), 2, "static install");
+        assert_fresh(&exec);
+        assert_eq!(exec.open_targets[0], vec!["data.txt".to_string()]);
+
+        let snapshot = Executor::from_snapshot(exec.program.clone(), FUEL, exec.installs);
+        assert_fresh(&snapshot);
+
+        // Only the candidate's own file gets its targets filled, so the
+        // run itself fails inside `latelib`; the install still happened.
+        exec.run(&cand, "xy", &packages);
+        assert_eq!(exec.program.files.len(), 3, "dynamic install");
+        assert_fresh(&exec);
+        assert_eq!(exec.open_targets[2], vec!["late.txt".to_string()]);
+
+        exec.reset_snapshot(2, 1);
+        assert_fresh(&exec);
+        assert_eq!(exec.open_targets, snapshot.open_targets);
     }
 
     #[test]

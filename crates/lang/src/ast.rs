@@ -5,6 +5,13 @@
 //! `(file, line)` site, mirroring AutoType's bytecode instrumentation which
 //! dumps "the filename and line number of the corresponding branch/return"
 //! (paper, Appendix D.2).
+//!
+//! Function definitions and string literals sit behind `Arc`, so executing
+//! a `def`, a `class` or a string literal binds a refcount clone of the
+//! parsed node instead of copying it. `Arc` rather than `Rc` keeps the AST
+//! `Send + Sync`: parsed files are shared across pool workers.
+
+use std::sync::Arc;
 
 /// A parsed source file: a sequence of top-level statements.
 ///
@@ -48,7 +55,7 @@ pub enum Expr {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
     Name(String),
     List(Vec<Expr>),
     Dict(Vec<(Expr, Expr)>),
@@ -151,7 +158,7 @@ pub enum Stmt {
         handlers: Vec<ExceptHandler>,
         line: u32,
     },
-    FuncDef(FuncDef),
+    FuncDef(Arc<FuncDef>),
     ClassDef(ClassDef),
     Import {
         module: String,
@@ -186,7 +193,7 @@ pub struct FuncDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassDef {
     pub name: String,
-    pub methods: Vec<FuncDef>,
+    pub methods: Vec<Arc<FuncDef>>,
     pub line: u32,
 }
 
@@ -194,7 +201,7 @@ impl Module {
     /// All top-level function definitions in the module.
     pub fn functions(&self) -> impl Iterator<Item = &FuncDef> {
         self.body.iter().filter_map(|s| match s {
-            Stmt::FuncDef(f) => Some(f),
+            Stmt::FuncDef(f) => Some(f.as_ref()),
             _ => None,
         })
     }

@@ -183,18 +183,9 @@ impl<'p> Interp<'p> {
         &self.tracer.trace.events
     }
 
-    /// Disable instrumentation entirely.
-    pub fn disable_tracing(&mut self) {
-        self.tracer = Tracer::disabled();
-    }
-
-    /// Refill fuel to the configured budget (call between runs).
-    pub fn refill_fuel(&mut self) {
-        self.fuel = self.initial_fuel;
-    }
-
-    /// Fuel consumed since the last refill — the deterministic analogue of
-    /// wall-clock execution time (used for the Figure 14 experiment).
+    /// Fuel consumed since the interpreter was built — the deterministic
+    /// analogue of wall-clock execution time (used for the Figure 14
+    /// experiment).
     pub fn fuel_used(&self) -> u64 {
         self.initial_fuel - self.fuel
     }
@@ -202,11 +193,6 @@ impl<'p> Interp<'p> {
     /// Captured `print` output.
     pub fn stdout(&self) -> &str {
         &self.stdout
-    }
-
-    /// Replace the simulated I/O (between runs).
-    pub fn set_io(&mut self, io: Io) {
-        self.io = io;
     }
 
     // ------------------------------------------------------------------
@@ -478,13 +464,13 @@ impl<'p> Interp<'p> {
                 Err(e) => Err(e),
             },
             Stmt::FuncDef(f) => {
-                env.set(&f.name, Value::Func(Rc::new(f.clone()), env.file));
+                env.set(&f.name, Value::Func(f.clone(), env.file));
                 Ok(Flow::Normal)
             }
             Stmt::ClassDef(c) => {
                 let mut methods = BTreeMap::new();
                 for m in &c.methods {
-                    methods.insert(m.name.clone(), Rc::new(m.clone()));
+                    methods.insert(m.name.clone(), m.clone());
                 }
                 env.set(
                     &c.name,
@@ -608,7 +594,7 @@ impl<'p> Interp<'p> {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Float(f) => Ok(Value::Float(*f)),
-            Expr::Str(s) => Ok(Value::str(s.clone())),
+            Expr::Str(s) => Ok(Value::Str(s.clone())),
             Expr::Name(name) => match env.get(name) {
                 Some(v) => Ok(v),
                 None => match crate::builtins::lookup(name) {
@@ -790,7 +776,7 @@ impl<'p> Interp<'p> {
 
     fn call_funcdef(
         &mut self,
-        func: &Rc<FuncDef>,
+        func: &FuncDef,
         file: u32,
         receiver: Option<Value>,
         args: Vec<Value>,
@@ -1449,6 +1435,49 @@ class CreditCard:
     fn boolop_returns_operand_like_python() {
         assert!(run_expr("return 0 or 'fallback'").py_eq(&Value::str("fallback")));
         assert!(run_expr("return 'a' and 'b'").py_eq(&Value::str("b")));
+    }
+
+    #[test]
+    fn definitions_and_string_constants_share_the_parsed_ast() {
+        let src = "GREETING = 'hello'\n\ndef f(s):\n    return s\n\nclass C:\n    def m(self):\n        return 1\n";
+        let mut program = Program::new();
+        program.add_file("m", src).unwrap();
+        let body = &program.file(0).module.body;
+        let Stmt::Assign {
+            value: Expr::Str(literal),
+            ..
+        } = &body[0]
+        else {
+            panic!()
+        };
+        let Stmt::FuncDef(def) = &body[1] else {
+            panic!()
+        };
+        let Stmt::ClassDef(class) = &body[2] else {
+            panic!()
+        };
+        // Every run re-executes module init; each one binds the same nodes.
+        for _ in 0..2 {
+            let mut interp = Interp::new(&program);
+            let Value::Str(s) = interp.get_global(0, "GREETING").unwrap() else {
+                panic!()
+            };
+            assert!(Arc::ptr_eq(&s, literal));
+            let Value::Func(f, _) = interp.get_global(0, "f").unwrap() else {
+                panic!()
+            };
+            assert!(Arc::ptr_eq(&f, def));
+            let c = interp.get_global(0, "C").unwrap();
+            let Value::Class(class_obj) = &c else {
+                panic!()
+            };
+            assert!(Arc::ptr_eq(&class_obj.methods["m"], &class.methods[0]));
+            let obj = interp.call(c, vec![]).unwrap();
+            let Value::Bound(_, m, _) = interp.get_attr(obj, "m", 0).unwrap() else {
+                panic!()
+            };
+            assert!(Arc::ptr_eq(&m, &class.methods[0]));
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! atom      := literal | NAME | '(' expr ')' | list | dict
 //! ```
 
+use std::sync::Arc;
+
 use crate::ast::*;
 use crate::token::{Tok, Token};
 
@@ -151,7 +153,7 @@ impl Parser {
         match self.peek() {
             Tok::Def => {
                 let func = self.parse_funcdef()?;
-                Ok(Stmt::FuncDef(func))
+                Ok(Stmt::FuncDef(Arc::new(func)))
             }
             Tok::Class => self.parse_classdef(),
             Tok::If => self.parse_if(),
@@ -275,7 +277,7 @@ impl Parser {
         let mut methods = Vec::new();
         while self.peek() != &Tok::Dedent && self.peek() != &Tok::Eof {
             match self.peek() {
-                Tok::Def => methods.push(self.parse_funcdef()?),
+                Tok::Def => methods.push(Arc::new(self.parse_funcdef()?)),
                 Tok::Pass => {
                     self.bump();
                     self.expect(Tok::Newline)?;
@@ -629,7 +631,7 @@ impl Parser {
         match self.bump().tok {
             Tok::Int(v) => Ok(Expr::Int(v)),
             Tok::Float(v) => Ok(Expr::Float(v)),
-            Tok::Str(s) => Ok(Expr::Str(s)),
+            Tok::Str(s) => Ok(Expr::Str(s.into())),
             Tok::True => Ok(Expr::Bool(true)),
             Tok::False => Ok(Expr::Bool(false)),
             Tok::None => Ok(Expr::None),

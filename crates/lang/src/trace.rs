@@ -155,26 +155,11 @@ impl Trace {
 #[derive(Debug, Default)]
 pub struct Tracer {
     pub trace: Trace,
-    /// When false, no events are recorded (used when executing synthesized
-    /// validators in "production" without profiling overhead is not needed —
-    /// AutoType always traces, but tests exercise both modes).
-    pub enabled: bool,
 }
 
 impl Tracer {
     pub fn new() -> Self {
-        Tracer {
-            trace: Trace::default(),
-            enabled: true,
-        }
-    }
-
-    /// A tracer that drops all events.
-    pub fn disabled() -> Self {
-        Tracer {
-            trace: Trace::default(),
-            enabled: false,
-        }
+        Tracer::default()
     }
 
     /// Finish tracing, yielding the recorded events and their kind table.
@@ -183,25 +168,19 @@ impl Tracer {
     }
 
     pub fn branch(&mut self, site: SiteId, taken: bool) {
-        if self.enabled {
-            self.trace.events.push(TraceEvent::Branch { site, taken });
-        }
+        self.trace.events.push(TraceEvent::Branch { site, taken });
     }
 
     pub fn ret(&mut self, site: SiteId, value: &Value) {
-        if self.enabled {
-            self.trace.events.push(TraceEvent::Return {
-                site,
-                value: ValueSummary::of(value),
-            });
-        }
+        self.trace.events.push(TraceEvent::Return {
+            site,
+            value: ValueSummary::of(value),
+        });
     }
 
     pub fn exception(&mut self, kind: &str) {
-        if self.enabled {
-            let kind = self.trace.exc.intern(kind);
-            self.trace.events.push(TraceEvent::Exception { kind });
-        }
+        let kind = self.trace.exc.intern(kind);
+        self.trace.events.push(TraceEvent::Exception { kind });
     }
 }
 
@@ -232,15 +211,6 @@ mod tests {
             ValueSummary::LenZero(false)
         );
         assert_eq!(ValueSummary::of(&Value::None), ValueSummary::IsNone(true));
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::disabled();
-        t.branch(SiteId::new(0, 1), true);
-        t.ret(SiteId::new(0, 2), &Value::Int(1));
-        t.exception("ValueError");
-        assert!(t.trace.events.is_empty());
     }
 
     #[test]

@@ -4,26 +4,29 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::FuncDef;
 
 /// A runtime value. Reference types (`List`, `Dict`, `Object`) have shared
 /// mutable interiors, matching Python semantics for mined code that mutates
-/// `self` or accumulates into lists.
+/// `self` or accumulates into lists. Strings and function definitions are
+/// `Arc`s shared with the parsed AST: a string literal or a `def` evaluates
+/// to a refcount clone of its node.
 #[derive(Clone)]
 pub enum Value {
     None,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(Rc<str>),
+    Str(Arc<str>),
     List(Rc<RefCell<Vec<Value>>>),
     Dict(Rc<RefCell<BTreeMap<String, Value>>>),
     /// A user-defined function (possibly a method before binding) together
     /// with the id of the file that defines it.
-    Func(Rc<FuncDef>, u32),
+    Func(Arc<FuncDef>, u32),
     /// A bound method: receiver + function.
-    Bound(Rc<RefCell<Object>>, Rc<FuncDef>, u32),
+    Bound(Rc<RefCell<Object>>, Arc<FuncDef>, u32),
     /// A class, instantiable by calling it.
     Class(Rc<ClassObj>),
     /// An instance of a user-defined class.
@@ -39,7 +42,7 @@ pub enum Value {
 /// Class runtime representation.
 pub struct ClassObj {
     pub name: String,
-    pub methods: BTreeMap<String, Rc<FuncDef>>,
+    pub methods: BTreeMap<String, Arc<FuncDef>>,
     pub file: u32,
 }
 
@@ -99,7 +102,7 @@ impl Value {
     }
 
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Rc::from(s.into()))
+        Value::Str(Arc::from(s.into()))
     }
 
     pub fn list(items: Vec<Value>) -> Value {

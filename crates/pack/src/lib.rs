@@ -736,6 +736,31 @@ mod tests {
     }
 
     #[test]
+    fn module_state_never_leaks_between_probes() {
+        // The candidate mutates a module-level list. Module init re-runs on
+        // every probe, so each probe sees a fresh, empty `SEEN`.
+        let source = "SEEN = []\n\ndef first(s):\n    SEEN.append(s)\n    return len(SEEN) == 1\n";
+        let pack = Pack {
+            files: vec![("mod".into(), source.into())],
+            entry: EntryPoint::Function {
+                name: "first".into(),
+            },
+            dnf_e: vec![vec![Literal::Ret {
+                site: SiteId::new(u32::MAX, 0),
+                value: ValueSummary::Bool(true),
+            }]],
+            ..sample_pack()
+        };
+        let v = pack.validator().expect("validator");
+        let mut slot = v.probe_executor();
+        let first = v.accepts_with_fuel_in(&mut slot, "a", None);
+        assert!(first.0);
+        for input in ["a", "b", "a", "cd"] {
+            assert_eq!(v.accepts_with_fuel_in(&mut slot, input, None), first);
+        }
+    }
+
+    #[test]
     fn fuel_ceiling_clamps_to_pack_budget_and_caps_runs() {
         let v = sample_pack().validator().expect("validator");
         assert_eq!(v.fuel_budget(), 10_000);

@@ -15,7 +15,7 @@
 
 use autotype_dnf::DnfCover;
 use autotype_exec::Literal;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 pub mod transform;
 
@@ -108,11 +108,6 @@ pub fn quality_score(
         neg_reject as f64 / neg_total as f64
     };
     0.5 * p + 0.5 * n
-}
-
-/// Map literal → index (test helper).
-pub fn literal_index(literals: &[Literal]) -> BTreeMap<&Literal, usize> {
-    literals.iter().enumerate().map(|(i, l)| (l, i)).collect()
 }
 
 #[cfg(test)]

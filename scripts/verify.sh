@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, tier-1 tests, the
-# complete workspace test suite (including the vendored stub crates),
+# complete workspace test suite (including the vendored stub crates), the
+# paper-fidelity diff of `figures all` against figures_fast_output.txt,
 # perfbench's build and unit tests, and warnings-as-errors clippy and
 # rustdoc passes (the latter catches intra-doc links to moved or deleted
 # items).
@@ -23,6 +24,13 @@ cargo test --workspace -q
 
 echo "== serve integration tests (keep-alive, lazy==eager, golden packs) =="
 cargo test -p autotype-serve --test keepalive --test lazy_eager --test golden --test loopback -q
+
+# `figures all` is deterministic (fuel, not wall clock, drives every
+# number), so any drift in the paper's tables shows up as a diff. A change
+# that moves them on purpose regenerates the file and explains the move.
+echo "== figures all vs figures_fast_output.txt (paper fidelity) =="
+cargo run --release --offline -q -p autotype-bench --bin figures -- all |
+    diff figures_fast_output.txt -
 
 # perfbench is a workspace of its own, so the builds above never compile
 # it: build it and run its unit tests here, so removing API it uses fails
