@@ -176,14 +176,14 @@ fn analyze_class(file: u32, class: &ClassDef, out: &mut Vec<Candidate>, stats: &
 fn uses_sys_argv(body: &[Stmt]) -> bool {
     any_expr(body, &mut |e| {
         matches!(e, Expr::Attr { object, name, .. }
-            if name == "argv" && matches!(object.as_ref(), Expr::Name(n) if n == "sys"))
+            if name == "argv" && matches!(object.as_ref(), Expr::Name(n) if n.id == "sys"))
     })
 }
 
 fn calls_builtin(body: &[Stmt], builtin: &str) -> bool {
     any_expr(body, &mut |e| {
         matches!(e, Expr::Call { callee, .. }
-            if matches!(callee.as_ref(), Expr::Name(n) if n == builtin))
+            if matches!(callee.as_ref(), Expr::Name(n) if n.id == builtin))
     })
 }
 
@@ -197,7 +197,7 @@ fn first_string_constant(module: &Module) -> Option<String> {
             ..
         } = stmt
         {
-            return Some(name.clone());
+            return Some(name.id.clone());
         }
     }
     None
@@ -262,8 +262,8 @@ fn any_expr(body: &[Stmt], pred: &mut impl FnMut(&Expr) -> bool) -> bool {
                         .iter()
                         .any(|h| h.body.iter().any(|s| walk_stmt(s, pred)))
             }
-            Stmt::FuncDef(f) => f.body.iter().any(|s| walk_stmt(s, pred)),
-            Stmt::ClassDef(c) => c
+            Stmt::FuncDef(f, _) => f.body.iter().any(|s| walk_stmt(s, pred)),
+            Stmt::ClassDef(c, _) => c
                 .methods
                 .iter()
                 .any(|m| m.body.iter().any(|s| walk_stmt(s, pred))),

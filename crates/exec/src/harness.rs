@@ -407,7 +407,7 @@ fn open_targets(module: &Module) -> Vec<String> {
 fn collect_open_targets(body: &[Stmt], names: &mut Vec<String>) {
     fn walk_expr(e: &Expr, names: &mut Vec<String>) {
         if let Expr::Call { callee, args, .. } = e {
-            if matches!(callee.as_ref(), Expr::Name(n) if n == "open") {
+            if matches!(callee.as_ref(), Expr::Name(n) if n.id == "open") {
                 if let Some(Expr::Str(path)) = args.first() {
                     if !names.iter().any(|n| n.as_str() == path.as_ref()) {
                         names.push(path.to_string());
@@ -450,8 +450,8 @@ fn collect_open_targets(body: &[Stmt], names: &mut Vec<String>) {
                     h.body.iter().for_each(|s| walk(s, names));
                 }
             }
-            Stmt::FuncDef(f) => f.body.iter().for_each(|s| walk(s, names)),
-            Stmt::ClassDef(c) => c
+            Stmt::FuncDef(f, _) => f.body.iter().for_each(|s| walk(s, names)),
+            Stmt::ClassDef(c, _) => c
                 .methods
                 .iter()
                 .for_each(|m| m.body.iter().for_each(|s| walk(s, names))),
@@ -476,7 +476,7 @@ fn rewrite_script_constant(program: &Program, file: u32, variable: &str, input: 
             ..
         } = stmt
         {
-            if name == variable {
+            if name.id == variable {
                 *value = Expr::Str(input.into());
                 break;
             }
@@ -685,7 +685,7 @@ def f(s):
         assert!(!Arc::ptr_eq(&program.files[0], &rewritten.files[0]));
         assert!(Arc::ptr_eq(&program.files[1], &rewritten.files[1]));
         let def = |p: &Program| match &p.file(0).module.body[2] {
-            Stmt::FuncDef(f) => f.clone(),
+            Stmt::FuncDef(f, _) => f.clone(),
             _ => panic!("expected a def"),
         };
         assert!(Arc::ptr_eq(&def(&program), &def(&rewritten)));

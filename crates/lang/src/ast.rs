@@ -10,6 +10,12 @@
 //! a `def`, a `class` or a string literal binds a refcount clone of the
 //! parsed node instead of copying it. `Arc` rather than `Rc` keeps the AST
 //! `Send + Sync`: parsed files are shared across pool workers.
+//!
+//! Every name node carries its [`Resolution`], fixed once at parse time:
+//! the parser resolves a name by its spelling (module global or builtin),
+//! and the resolver (`resolve.rs`) rebinds the names a function binds to
+//! slots of that function's frame before the function goes behind its
+//! `Arc`.
 
 use std::sync::Arc;
 
@@ -48,6 +54,46 @@ pub enum CmpOp {
     NotIn,
 }
 
+/// Where a name lives, decided once when its function is parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// Slot `n` of the enclosing function's frame. An unset slot falls
+    /// through to the module namespace and the builtins by name.
+    Local(u32),
+    /// A module global: looked up in the module namespace by name.
+    Global,
+    /// A name spelled like builtin `n` ([`crate::builtins::NAMES`]): the
+    /// module namespace may shadow it, so it is looked up there first.
+    Builtin(u8),
+}
+
+impl Resolution {
+    /// The resolution of a name outside any function scope: a builtin if
+    /// spelled like one, otherwise a module global. The resolver rebinds
+    /// the names a function binds to its frame slots.
+    pub fn of(id: &str) -> Resolution {
+        match crate::builtins::id(id) {
+            Some(b) => Resolution::Builtin(b),
+            None => Resolution::Global,
+        }
+    }
+}
+
+/// An occurrence of a name — read, assigned, or bound by `for`, `except
+/// … as` or `import` — together with its resolution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Name {
+    pub id: String,
+    pub res: Resolution,
+}
+
+impl Name {
+    pub fn new(id: String) -> Name {
+        let res = Resolution::of(&id);
+        Name { id, res }
+    }
+}
+
 /// An expression node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -56,7 +102,7 @@ pub enum Expr {
     Int(i64),
     Float(f64),
     Str(Arc<str>),
-    Name(String),
+    Name(Name),
     List(Vec<Expr>),
     Dict(Vec<(Expr, Expr)>),
     Bin {
@@ -105,7 +151,7 @@ pub enum Expr {
 /// Assignment target forms.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Target {
-    Name(String),
+    Name(Name),
     Attr { object: Expr, name: String },
     Index { object: Expr, index: Expr },
 }
@@ -138,7 +184,7 @@ pub enum Stmt {
         line: u32,
     },
     For {
-        var: String,
+        var: Name,
         iter: Expr,
         body: Vec<Stmt>,
         line: u32,
@@ -158,10 +204,13 @@ pub enum Stmt {
         handlers: Vec<ExceptHandler>,
         line: u32,
     },
-    FuncDef(Arc<FuncDef>),
-    ClassDef(ClassDef),
+    /// A `def`, with the resolution of the name it binds.
+    FuncDef(Arc<FuncDef>, Resolution),
+    /// A `class`, with the resolution of the name it binds.
+    ClassDef(ClassDef, Resolution),
+    /// `import m`: binds the name `m`.
     Import {
-        module: String,
+        module: Name,
         line: u32,
     },
     Pass,
@@ -175,7 +224,7 @@ pub struct ExceptHandler {
     /// Exception kind to catch; `None` is a bare `except:` catching all.
     pub kind: Option<String>,
     /// Optional `as name` binding (bound to the exception message string).
-    pub bind: Option<String>,
+    pub bind: Option<Name>,
     pub body: Vec<Stmt>,
     pub line: u32,
 }
@@ -187,6 +236,11 @@ pub struct FuncDef {
     pub params: Vec<String>,
     pub body: Vec<Stmt>,
     pub line: u32,
+    /// The frame layout: slot `i` holds local `locals[i]`. Parameters come
+    /// first, in order, then every other name the body binds.
+    pub locals: Vec<String>,
+    /// The slot of each parameter. Repeated parameter names share a slot.
+    pub param_slots: Vec<u32>,
 }
 
 /// A class definition: only methods are supported (no class-level fields).
@@ -201,7 +255,7 @@ impl Module {
     /// All top-level function definitions in the module.
     pub fn functions(&self) -> impl Iterator<Item = &FuncDef> {
         self.body.iter().filter_map(|s| match s {
-            Stmt::FuncDef(f) => Some(f.as_ref()),
+            Stmt::FuncDef(f, _) => Some(f.as_ref()),
             _ => None,
         })
     }
@@ -209,7 +263,7 @@ impl Module {
     /// All top-level class definitions in the module.
     pub fn classes(&self) -> impl Iterator<Item = &ClassDef> {
         self.body.iter().filter_map(|s| match s {
-            Stmt::ClassDef(c) => Some(c),
+            Stmt::ClassDef(c, _) => Some(c),
             _ => None,
         })
     }
@@ -219,7 +273,7 @@ impl Module {
         self.body
             .iter()
             .filter_map(|s| match s {
-                Stmt::Import { module, .. } => Some(module.as_str()),
+                Stmt::Import { module, .. } => Some(module.id.as_str()),
                 _ => None,
             })
             .collect()
@@ -233,7 +287,7 @@ impl Module {
         fn walk<'a>(body: &'a [Stmt], out: &mut Vec<&'a str>) {
             for s in body {
                 match s {
-                    Stmt::Import { module, .. } => out.push(module.as_str()),
+                    Stmt::Import { module, .. } => out.push(module.id.as_str()),
                     Stmt::If {
                         then_body,
                         else_body,
@@ -249,8 +303,8 @@ impl Module {
                             walk(&h.body, out);
                         }
                     }
-                    Stmt::FuncDef(f) => walk(&f.body, out),
-                    Stmt::ClassDef(c) => {
+                    Stmt::FuncDef(f, _) => walk(&f.body, out),
+                    Stmt::ClassDef(c, _) => {
                         for m in &c.methods {
                             walk(&m.body, out);
                         }
@@ -270,7 +324,7 @@ impl Module {
         self.body.iter().any(|s| {
             !matches!(
                 s,
-                Stmt::FuncDef(_) | Stmt::ClassDef(_) | Stmt::Import { .. } | Stmt::Pass
+                Stmt::FuncDef(..) | Stmt::ClassDef(..) | Stmt::Import { .. } | Stmt::Pass
             )
         })
     }

@@ -8,21 +8,31 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::error::PyError;
 use crate::interp::{dict_key, Interp};
 use crate::value::{FileHandle, Value};
 
-/// Resolve a builtin by name (used as the last step of name lookup).
-pub fn lookup(name: &str) -> Option<Value> {
-    const NAMES: &[&str] = &[
-        "len", "int", "str", "float", "bool", "ord", "chr", "abs", "min", "max", "sum", "range",
-        "print", "input", "open", "sorted", "reversed",
-    ];
-    NAMES
-        .iter()
-        .find(|n| **n == name)
-        .map(|n| Value::Builtin(n))
+/// Every builtin function; a name resolved to builtin `i` refers to
+/// `NAMES[i]`.
+pub const NAMES: &[&str] = &[
+    "len", "int", "str", "float", "bool", "ord", "chr", "abs", "min", "max", "sum", "range",
+    "print", "input", "open", "sorted", "reversed",
+];
+
+/// The builtin id of `name`, if it names a builtin. The parser asks this
+/// of every identifier it reads; most are too short or too long to be one.
+pub fn id(name: &str) -> Option<u8> {
+    if !(3..=8).contains(&name.len()) {
+        return None;
+    }
+    NAMES.iter().position(|n| *n == name).map(|i| i as u8)
+}
+
+/// The builtin function with id `id`.
+pub fn by_id(id: u8) -> Value {
+    Value::Builtin(NAMES[id as usize])
 }
 
 /// Dispatch a builtin function call.
@@ -256,12 +266,7 @@ pub fn call(
                 Value::Str(s) => {
                     let mut chars: Vec<char> = s.chars().collect();
                     chars.sort_unstable();
-                    Ok(Value::list(
-                        chars
-                            .into_iter()
-                            .map(|c| Value::str(c.to_string()))
-                            .collect(),
-                    ))
+                    Ok(Value::list(chars.into_iter().map(Value::char).collect()))
                 }
                 other => Err(PyError::type_error(
                     format!("'{}' object is not iterable", other.type_name()),
@@ -277,9 +282,7 @@ pub fn call(
                     items.reverse();
                     Ok(Value::list(items))
                 }
-                Value::Str(s) => Ok(Value::list(
-                    s.chars().rev().map(|c| Value::str(c.to_string())).collect(),
-                )),
+                Value::Str(s) => Ok(Value::list(s.chars().rev().map(Value::char).collect())),
                 other => Err(PyError::type_error(
                     format!("'{}' object is not reversible", other.type_name()),
                     line,
@@ -338,16 +341,14 @@ fn str_method(
         "lower" => Ok(Value::str(s.to_lowercase())),
         "strip" => {
             if args.is_empty() {
-                Ok(Value::str(s.trim().to_string()))
+                Ok(Value::str(s.trim()))
             } else {
                 let chars: Vec<char> = arg_str(0)?.chars().collect();
-                Ok(Value::str(
-                    s.trim_matches(|c| chars.contains(&c)).to_string(),
-                ))
+                Ok(Value::str(s.trim_matches(|c| chars.contains(&c))))
             }
         }
-        "lstrip" => Ok(Value::str(s.trim_start().to_string())),
-        "rstrip" => Ok(Value::str(s.trim_end().to_string())),
+        "lstrip" => Ok(Value::str(s.trim_start())),
+        "rstrip" => Ok(Value::str(s.trim_end())),
         "split" => {
             let parts: Vec<Value> = if args.is_empty() {
                 s.split_whitespace().map(Value::str).collect()
@@ -364,7 +365,7 @@ fn str_method(
             let from = arg_str(0)?;
             let to = arg_str(1)?;
             if from.is_empty() {
-                return Ok(Value::str(s.to_string()));
+                return Ok(Value::str(s));
             }
             Ok(Value::str(s.replace(from, to)))
         }
@@ -434,7 +435,7 @@ fn str_method(
             };
             let len = s.chars().count();
             if len >= width {
-                Ok(Value::str(s.to_string()))
+                Ok(Value::str(s))
             } else {
                 // The padding is data-proportional work, charged before it
                 // is allocated, like `str * n`.
@@ -546,7 +547,7 @@ fn list_method(
 }
 
 fn dict_method(
-    dict: &Rc<RefCell<std::collections::BTreeMap<String, Value>>>,
+    dict: &Rc<RefCell<std::collections::BTreeMap<Arc<str>, Value>>>,
     name: &str,
     args: &[Value],
     line: u32,
@@ -564,14 +565,14 @@ fn dict_method(
         "keys" => Ok(Value::list(
             dict.borrow()
                 .keys()
-                .map(|k| Value::str(k.clone()))
+                .map(|k| Value::Str(k.clone()))
                 .collect(),
         )),
         "values" => Ok(Value::list(dict.borrow().values().cloned().collect())),
         "items" => Ok(Value::list(
             dict.borrow()
                 .iter()
-                .map(|(k, v)| Value::list(vec![Value::str(k.clone()), v.clone()]))
+                .map(|(k, v)| Value::list(vec![Value::Str(k.clone()), v.clone()]))
                 .collect(),
         )),
         other => Err(PyError::attribute_error("dict", other, line)),
@@ -742,6 +743,17 @@ fn parse_int(v: &Value, base: u32, line: u32) -> Result<Value, PyError> {
 mod tests {
     use super::*;
     use crate::interp::{Interp, Program};
+
+    #[test]
+    fn every_builtin_resolves_to_its_id() {
+        for (i, name) in NAMES.iter().enumerate() {
+            assert_eq!(id(name), Some(i as u8), "{name}");
+            assert!(matches!(by_id(i as u8), Value::Builtin(n) if n == *name));
+        }
+        for other in ["", "s", "le", "lens", "Len", "reversed_", "print2"] {
+            assert_eq!(id(other), None, "{other}");
+        }
+    }
 
     fn eval(expr: &str) -> Value {
         let mut program = Program::new();

@@ -105,33 +105,58 @@ enum Flow {
 
 type Globals = Rc<RefCell<Object>>;
 
-/// Execution environment: module globals plus optional function locals.
+/// A function's locals, indexed by the slots the resolver assigned.
+/// `None` is a local the function has not set yet.
+type Frame = Vec<Option<Value>>;
+
+/// Execution environment: the module namespace plus, inside a function,
+/// its frame. Module-level code has an empty frame: outside a function
+/// no name resolves to a slot.
 struct Env {
     file: u32,
     globals: Globals,
-    locals: Option<BTreeMap<String, Value>>,
+    frame: Frame,
 }
 
 impl Env {
-    fn get(&self, name: &str) -> Option<Value> {
-        if let Some(locals) = &self.locals {
-            if let Some(v) = locals.get(name) {
-                return Some(v.clone());
-            }
+    /// Read a name. A set local slot wins; an unset local falls through to
+    /// the module namespace and then the builtins, by name, exactly as a
+    /// free name does, so PyLite has no `UnboundLocalError`.
+    fn load(&self, name: &Name) -> Result<Value, PyError> {
+        match name.res {
+            Resolution::Local(slot) => match &self.frame[slot as usize] {
+                Some(v) => Ok(v.clone()),
+                None => self.load_global(&name.id, crate::builtins::id(&name.id)),
+            },
+            Resolution::Global => self.load_global(&name.id, None),
+            Resolution::Builtin(b) => self.load_global(&name.id, Some(b)),
         }
-        self.globals.borrow().attrs.get(name).cloned()
     }
 
-    fn set(&mut self, name: &str, value: Value) {
-        match &mut self.locals {
-            Some(locals) => {
-                locals.insert(name.to_string(), value);
-            }
-            None => {
+    /// The module namespace first: a top-level binding, or another module's
+    /// `lib.len = …`, may shadow a builtin.
+    fn load_global(&self, id: &str, builtin: Option<u8>) -> Result<Value, PyError> {
+        if let Some(v) = self.globals.borrow().attrs.get(id) {
+            return Ok(v.clone());
+        }
+        builtin
+            .map(crate::builtins::by_id)
+            .ok_or_else(|| PyError::name_error(id, 0))
+    }
+
+    fn store(&mut self, name: &Name, value: Value) {
+        self.bind(&name.id, name.res, value);
+    }
+
+    /// Bind `id`: its slot inside a function, the module namespace outside.
+    fn bind(&mut self, id: &str, res: Resolution, value: Value) {
+        match res {
+            Resolution::Local(slot) => self.frame[slot as usize] = Some(value),
+            Resolution::Global | Resolution::Builtin(_) => {
                 self.globals
                     .borrow_mut()
                     .attrs
-                    .insert(name.to_string(), value);
+                    .insert(id.to_string(), value);
             }
         }
     }
@@ -220,7 +245,7 @@ impl<'p> Interp<'p> {
         let mut env = Env {
             file,
             globals: g.clone(),
-            locals: None,
+            frame: Frame::new(),
         };
         let result = self.exec_block(body, &mut env);
         self.loading[file as usize] = false;
@@ -416,7 +441,7 @@ impl<'p> Interp<'p> {
                 let items = self.iterate(iterable, *line)?;
                 for item in items {
                     self.charge(1)?;
-                    env.set(var, item);
+                    env.store(var, item);
                     match self.exec_block(body, env)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
@@ -454,7 +479,7 @@ impl<'p> Interp<'p> {
                         };
                         if matches {
                             if let Some(bind) = &handler.bind {
-                                env.set(bind, Value::str(e.message.clone()));
+                                env.store(bind, Value::str(&e.message));
                             }
                             return self.exec_block(&handler.body, env);
                         }
@@ -463,28 +488,27 @@ impl<'p> Interp<'p> {
                 }
                 Err(e) => Err(e),
             },
-            Stmt::FuncDef(f) => {
-                env.set(&f.name, Value::Func(f.clone(), env.file));
+            Stmt::FuncDef(f, res) => {
+                let value = Value::Func(f.clone(), env.file);
+                env.bind(&f.name, *res, value);
                 Ok(Flow::Normal)
             }
-            Stmt::ClassDef(c) => {
+            Stmt::ClassDef(c, res) => {
                 let mut methods = BTreeMap::new();
                 for m in &c.methods {
                     methods.insert(m.name.clone(), m.clone());
                 }
-                env.set(
-                    &c.name,
-                    Value::Class(Rc::new(ClassObj {
-                        name: c.name.clone(),
-                        methods,
-                        file: env.file,
-                    })),
-                );
+                let class = Value::Class(Rc::new(ClassObj {
+                    name: c.name.clone(),
+                    methods,
+                    file: env.file,
+                }));
+                env.bind(&c.name, *res, class);
                 Ok(Flow::Normal)
             }
             Stmt::Import { module, line } => {
-                let value = self.import_module(module, *line)?;
-                env.set(module, value);
+                let value = self.import_module(&module.id, *line)?;
+                env.store(module, value);
                 Ok(Flow::Normal)
             }
             Stmt::Pass => Ok(Flow::Normal),
@@ -518,7 +542,7 @@ impl<'p> Interp<'p> {
     ) -> Result<(), PyError> {
         match target {
             Target::Name(name) => {
-                env.set(name, value);
+                env.store(name, value);
                 Ok(())
             }
             Target::Attr { object, name } => {
@@ -554,28 +578,31 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// Read an augmented assignment's target in place, as [`Self::eval`]
+    /// would read the same name, attribute or index expression — including
+    /// its one unit of fuel. The object and index are evaluated again when
+    /// the result is assigned.
     fn read_target(&mut self, target: &Target, env: &mut Env, line: u32) -> Result<Value, PyError> {
-        let expr = match target {
-            Target::Name(name) => Expr::Name(name.clone()),
-            Target::Attr { object, name } => Expr::Attr {
-                object: Box::new(object.clone()),
-                name: name.clone(),
-                line,
-            },
-            Target::Index { object, index } => Expr::Index {
-                object: Box::new(object.clone()),
-                index: Box::new(index.clone()),
-                line,
-            },
-        };
-        self.eval(&expr, env)
+        self.charge(1)?;
+        match target {
+            Target::Name(name) => env.load(name),
+            Target::Attr { object, name } => {
+                let obj = self.eval(object, env)?;
+                self.get_attr(obj, name, line)
+            }
+            Target::Index { object, index } => {
+                let obj = self.eval(object, env)?;
+                let idx = self.eval(index, env)?;
+                self.index(obj, idx, line)
+            }
+        }
     }
 
     fn iterate(&mut self, value: Value, line: u32) -> Result<Vec<Value>, PyError> {
         match value {
-            Value::Str(s) => Ok(s.chars().map(|c| Value::str(c.to_string())).collect()),
+            Value::Str(s) => Ok(s.chars().map(Value::char).collect()),
             Value::List(l) => Ok(l.borrow().clone()),
-            Value::Dict(d) => Ok(d.borrow().keys().map(|k| Value::str(k.clone())).collect()),
+            Value::Dict(d) => Ok(d.borrow().keys().map(|k| Value::Str(k.clone())).collect()),
             other => Err(PyError::type_error(
                 format!("'{}' object is not iterable", other.type_name()),
                 line,
@@ -595,13 +622,7 @@ impl<'p> Interp<'p> {
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Float(f) => Ok(Value::Float(*f)),
             Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Name(name) => match env.get(name) {
-                Some(v) => Ok(v),
-                None => match crate::builtins::lookup(name) {
-                    Some(v) => Ok(v),
-                    None => Err(PyError::name_error(name, 0)),
-                },
-            },
+            Expr::Name(name) => env.load(name),
             Expr::List(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
@@ -785,31 +806,32 @@ impl<'p> Interp<'p> {
         if self.depth >= MAX_DEPTH {
             return Err(PyError::recursion());
         }
-        let mut locals = BTreeMap::new();
-        let mut all_args = Vec::new();
-        if let Some(r) = receiver {
-            all_args.push(r);
-        }
-        all_args.extend(args);
-        if all_args.len() != func.params.len() {
+        let given = args.len() + usize::from(receiver.is_some());
+        if given != func.params.len() {
             return Err(PyError::type_error(
                 format!(
                     "{}() takes {} arguments ({} given)",
                     func.name,
                     func.params.len(),
-                    all_args.len()
+                    given
                 ),
                 line,
             ));
         }
-        for (param, arg) in func.params.iter().zip(all_args) {
-            locals.insert(param.clone(), arg);
+        let mut frame = vec![None; func.locals.len()];
+        // Repeated parameter names share a slot: the last argument wins.
+        for (&slot, arg) in func
+            .param_slots
+            .iter()
+            .zip(receiver.into_iter().chain(args))
+        {
+            frame[slot as usize] = Some(arg);
         }
         let globals = self.load_module(file)?;
         let mut env = Env {
             file,
             globals,
-            locals: Some(locals),
+            frame,
         };
         self.depth += 1;
         let result = self.exec_block(&func.body, &mut env);
@@ -858,12 +880,14 @@ impl<'p> Interp<'p> {
     fn index(&mut self, obj: Value, idx: Value, line: u32) -> Result<Value, PyError> {
         match obj {
             Value::Str(s) => {
-                let chars: Vec<char> = s.chars().collect();
-                let i = normalize_index(&idx, chars.len(), line)?;
-                match chars.get(i) {
-                    Some(c) => Ok(Value::str(c.to_string())),
-                    None => Err(PyError::index_error(line)),
-                }
+                let c = if s.is_ascii() {
+                    let i = normalize_index(&idx, s.len(), line)?;
+                    s.as_bytes().get(i).map(|&b| char::from(b))
+                } else {
+                    let i = normalize_index(&idx, s.chars().count(), line)?;
+                    s.chars().nth(i)
+                };
+                c.map(Value::char).ok_or_else(|| PyError::index_error(line))
             }
             Value::List(l) => {
                 let borrowed = l.borrow();
@@ -916,16 +940,19 @@ impl<'p> Interp<'p> {
         }
         match obj {
             Value::Str(s) => {
-                let chars: Vec<char> = s.chars().collect();
-                let len = chars.len() as i64;
+                let ascii = s.is_ascii();
+                let len = if ascii { s.len() } else { s.chars().count() } as i64;
                 let lo = bound(low, 0, len, line)?;
                 let hi = bound(high, len, len, line)?;
-                let out: String = if lo < hi {
-                    chars[lo as usize..hi as usize].iter().collect()
+                if lo >= hi {
+                    return Ok(Value::str(""));
+                }
+                let (lo, hi) = (lo as usize, hi as usize);
+                Ok(if ascii {
+                    Value::str(&s[lo..hi])
                 } else {
-                    String::new()
-                };
-                Ok(Value::str(out))
+                    Value::str(s.chars().skip(lo).take(hi - lo).collect::<String>())
+                })
             }
             Value::List(l) => {
                 let items = l.borrow();
@@ -1100,12 +1127,13 @@ impl<'p> Interp<'p> {
     }
 }
 
-/// Convert a value into a dict key (strings as-is, ints canonicalized).
-pub(crate) fn dict_key(value: &Value, line: u32) -> Result<String, PyError> {
+/// Convert a value into a dict key: a string shares its value's `Arc`, an
+/// int is canonicalized to its decimal text.
+pub(crate) fn dict_key(value: &Value, line: u32) -> Result<Arc<str>, PyError> {
     match value {
-        Value::Str(s) => Ok(s.to_string()),
-        Value::Int(i) => Ok(i.to_string()),
-        Value::Bool(b) => Ok(if *b { "1" } else { "0" }.to_string()),
+        Value::Str(s) => Ok(s.clone()),
+        Value::Int(i) => Ok(Arc::from(i.to_string())),
+        Value::Bool(b) => Ok(crate::value::one_char(if *b { '1' } else { '0' })),
         other => Err(PyError::type_error(
             format!("unhashable key type: '{}'", other.type_name()),
             line,
@@ -1450,10 +1478,10 @@ class CreditCard:
         else {
             panic!()
         };
-        let Stmt::FuncDef(def) = &body[1] else {
+        let Stmt::FuncDef(def, _) = &body[1] else {
             panic!()
         };
-        let Stmt::ClassDef(class) = &body[2] else {
+        let Stmt::ClassDef(class, _) = &body[2] else {
             panic!()
         };
         // Every run re-executes module init; each one binds the same nodes.
@@ -1478,6 +1506,166 @@ class CreditCard:
             };
             assert!(Arc::ptr_eq(&m, &class.methods[0]));
         }
+    }
+
+    fn call_in(files: &[(&str, &str)], func: &str, args: Vec<Value>) -> Result<Value, PyError> {
+        let mut program = Program::new();
+        for (name, src) in files {
+            program.add_file(name, src).unwrap();
+        }
+        let last = (files.len() - 1) as u32;
+        Interp::new(&program).call_function(last, func, args)
+    }
+
+    fn call(src: &str, arg: &str) -> Result<Value, PyError> {
+        call_in(&[("m", src)], "f", vec![Value::str(arg)])
+    }
+
+    #[test]
+    fn an_unset_local_falls_through_to_the_module_global() {
+        let src = "x = 'global'\n\ndef f(s):\n    if s:\n        x = 1\n    return x\n";
+        assert!(call(src, "").unwrap().py_eq(&Value::str("global")));
+        assert!(call(src, "a").unwrap().py_eq(&Value::Int(1)));
+        // A loop body that reads a local before its assignment sees the
+        // global on the first pass and the local afterwards.
+        let src = "n = 10\n\ndef f(s):\n    out = []\n    for c in s:\n        out.append(n)\n        n = 1\n    return out\n";
+        assert_eq!(call(src, "ab").unwrap().repr(), "[10, 1]");
+    }
+
+    #[test]
+    fn builtins_are_shadowed_by_module_globals_and_locals() {
+        let global = "def f(s):\n    return len\n\nlen = 3\n";
+        assert!(call(global, "ab").unwrap().py_eq(&Value::Int(3)));
+        let local = "def f(s):\n    len = 5\n    return len\n";
+        assert!(call(local, "ab").unwrap().py_eq(&Value::Int(5)));
+        // A local `len` that is not set yet falls through to the builtin.
+        let unset = "def f(s):\n    if s == 'x':\n        len = 5\n    return len(s)\n";
+        assert!(call(unset, "abc").unwrap().py_eq(&Value::Int(3)));
+    }
+
+    #[test]
+    fn a_builtin_is_shadowed_from_another_module() {
+        let lib = "def count(s):\n    return len(s)\n";
+        let main = "import lib\n\ndef fake(s):\n    return 99\n\ndef f(s):\n    before = lib.count(s)\n    lib.len = fake\n    return [before, lib.count(s), len(s)]\n";
+        let v = call_in(
+            &[("lib", lib), ("main", main)],
+            "f",
+            vec![Value::str("abc")],
+        );
+        assert_eq!(v.unwrap().repr(), "[3, 99, 3]");
+    }
+
+    #[test]
+    fn a_nested_def_does_not_see_the_outer_locals() {
+        let src = "def f(s):\n    t = 1\n    def g(u):\n        return t\n    return g(s)\n";
+        let err = call(src, "a").unwrap_err();
+        assert_eq!(
+            (err.kind.as_str(), err.message.as_str()),
+            ("NameError", "name 't' is not defined")
+        );
+        let with_global = format!("t = 7\n\n{src}");
+        assert!(call(&with_global, "a").unwrap().py_eq(&Value::Int(7)));
+        // The nested function's own name is a local of the outer one.
+        let mut program = Program::new();
+        program.add_file("m", src).unwrap();
+        let mut interp = Interp::new(&program);
+        let _ = interp.call_function(0, "f", vec![Value::str("a")]);
+        assert_eq!(interp.get_global(0, "g").unwrap_err().kind, "NameError");
+    }
+
+    #[test]
+    fn repeated_parameters_take_the_last_argument() {
+        let src = "def f(a, a):\n    return a\n";
+        let v = call_in(&[("m", src)], "f", vec![Value::Int(1), Value::Int(2)]);
+        assert!(v.unwrap().py_eq(&Value::Int(2)));
+        let err = call_in(&[("m", src)], "f", vec![Value::Int(1)]).unwrap_err();
+        assert_eq!(err.message, "f() takes 2 arguments (1 given)");
+    }
+
+    #[test]
+    fn for_variables_except_names_and_imports_in_a_function_are_locals() {
+        let lib = "k = 4\n";
+        let main = "def f(s):\n    for c in s:\n        pass\n    try:\n        int(s)\n    except ValueError as e:\n        pass\n    import lib\n    return [c, e, lib.k]\n";
+        let mut program = Program::new();
+        program.add_file("lib", lib).unwrap();
+        program.add_file("main", main).unwrap();
+        let mut interp = Interp::new(&program);
+        let v = interp
+            .call_function(1, "f", vec![Value::str("ab")])
+            .unwrap();
+        assert_eq!(
+            v.repr(),
+            "[\"b\", \"invalid literal for int() with base 10: 'ab'\", 4]"
+        );
+        for name in ["c", "e", "lib"] {
+            assert_eq!(interp.get_global(1, name).unwrap_err().kind, "NameError");
+        }
+    }
+
+    #[test]
+    fn name_errors_name_the_variable() {
+        for (src, name) in [
+            ("def f(s):\n    return missing\n", "missing"),
+            ("def f(s):\n    if s:\n        y = 1\n    return y\n", "y"),
+            ("def f(s):\n    z += 1\n    return z\n", "z"),
+        ] {
+            let err = call(src, "").unwrap_err();
+            assert_eq!(err.kind, "NameError");
+            assert_eq!(err.message, format!("name '{name}' is not defined"));
+        }
+    }
+
+    #[test]
+    fn augmented_assignment_reads_each_target_form() {
+        let src = "class C:\n    def __init__(self):\n        self.a = 1\n\ndef f(s):\n    o = C()\n    o.a += 2\n    d = {'k': 3}\n    d['k'] += 4\n    l = [5]\n    l[0] *= 6\n    n = 7\n    n -= 8\n    return [o.a, d['k'], l[0], n]\n";
+        assert_eq!(call(src, "").unwrap().repr(), "[3, 7, 30, -1]");
+    }
+
+    #[test]
+    fn string_indexing_and_slicing_agree_on_ascii_and_non_ascii() {
+        assert!(run_expr("return 'héllo'[1]").py_eq(&Value::str("é")));
+        assert!(run_expr("return 'héllo'[-1]").py_eq(&Value::str("o")));
+        assert!(run_expr("return 'héllo'[1:3]").py_eq(&Value::str("él")));
+        assert!(run_expr("return 'héllo'[:]").py_eq(&Value::str("héllo")));
+        assert!(run_expr("return 'hello'[:]").py_eq(&Value::str("hello")));
+        assert!(run_expr("return 'hello'[3:1]").py_eq(&Value::str("")));
+        for src in ["return 'abc'[3]", "return 'abc'[-4]", "return 'é'[1]"] {
+            let mut program = Program::new();
+            program
+                .add_file("m", &format!("def f(s):\n    {src}\n"))
+                .unwrap();
+            let err = Interp::new(&program)
+                .call_function(0, "f", vec![Value::str("x")])
+                .unwrap_err();
+            assert_eq!(err.kind, "IndexError", "{src}");
+        }
+    }
+
+    #[test]
+    fn dict_keys_share_their_strings() {
+        let src = "KEY = 'month'\n\ndef f(s):\n    return {KEY: 1}\n";
+        let mut program = Program::new();
+        program.add_file("m", src).unwrap();
+        let mut interp = Interp::new(&program);
+        let Value::Str(key) = interp.get_global(0, "KEY").unwrap() else {
+            panic!()
+        };
+        let Value::Dict(d) = interp.call_function(0, "f", vec![Value::str("")]).unwrap() else {
+            panic!()
+        };
+        let (k, _) = d
+            .borrow()
+            .first_key_value()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .unwrap();
+        assert!(Arc::ptr_eq(&k, &key));
+        let v = run_expr(
+            "d = {2: 'b', 'a': 1, True: 0}\nks = []\nfor k in d:\n    ks.append(k)\nreturn [d, d.keys(), ks, d.items()[0], d[1]]",
+        );
+        assert_eq!(
+            v.repr(),
+            "[{\"1\": 0, \"2\": \"b\", \"a\": 1}, [\"1\", \"2\", \"a\"], [\"1\", \"2\", \"a\"], [\"1\", 0], 0]"
+        );
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod error;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+mod resolve;
 pub mod token;
 pub mod trace;
 pub mod value;

@@ -153,7 +153,8 @@ impl Parser {
         match self.peek() {
             Tok::Def => {
                 let func = self.parse_funcdef()?;
-                Ok(Stmt::FuncDef(Arc::new(func)))
+                let res = Resolution::of(&func.name);
+                Ok(Stmt::FuncDef(Arc::new(func), res))
             }
             Tok::Class => self.parse_classdef(),
             Tok::If => self.parse_if(),
@@ -165,7 +166,7 @@ impl Parser {
             }
             Tok::For => {
                 self.bump();
-                let (var, _) = self.expect_ident()?;
+                let var = Name::new(self.expect_ident()?.0);
                 self.expect(Tok::In)?;
                 let iter = self.parse_expr()?;
                 let body = self.parse_block()?;
@@ -225,7 +226,7 @@ impl Parser {
             }
             Tok::Import => {
                 self.bump();
-                let (module, _) = self.expect_ident()?;
+                let module = Name::new(self.expect_ident()?.0);
                 self.expect(Tok::Newline)?;
                 Ok(Stmt::Import { module, line })
             }
@@ -233,6 +234,8 @@ impl Parser {
         }
     }
 
+    /// Parse a `def` and resolve its locals to frame slots, so the
+    /// definition is complete before it is shared behind an `Arc`.
     fn parse_funcdef(&mut self) -> Result<FuncDef, ParseError> {
         let line = self.peek_line();
         self.expect(Tok::Def)?;
@@ -250,12 +253,16 @@ impl Parser {
         }
         self.expect(Tok::RParen)?;
         let body = self.parse_block()?;
-        Ok(FuncDef {
+        let mut func = FuncDef {
             name,
             params,
             body,
             line,
-        })
+            locals: Vec::new(),
+            param_slots: Vec::new(),
+        };
+        crate::resolve::resolve_function(&mut func);
+        Ok(func)
     }
 
     fn parse_classdef(&mut self) -> Result<Stmt, ParseError> {
@@ -286,11 +293,15 @@ impl Parser {
             }
         }
         self.expect(Tok::Dedent)?;
-        Ok(Stmt::ClassDef(ClassDef {
-            name,
-            methods,
-            line,
-        }))
+        let res = Resolution::of(&name);
+        Ok(Stmt::ClassDef(
+            ClassDef {
+                name,
+                methods,
+                line,
+            },
+            res,
+        ))
     }
 
     fn parse_if(&mut self) -> Result<Stmt, ParseError> {
@@ -330,8 +341,7 @@ impl Parser {
                 None
             };
             let bind = if self.eat(&Tok::As) {
-                let (b, _) = self.expect_ident()?;
-                Some(b)
+                Some(Name::new(self.expect_ident()?.0))
             } else {
                 None
             };
@@ -635,7 +645,7 @@ impl Parser {
             Tok::True => Ok(Expr::Bool(true)),
             Tok::False => Ok(Expr::Bool(false)),
             Tok::None => Ok(Expr::None),
-            Tok::Ident(name) => Ok(Expr::Name(name)),
+            Tok::Ident(name) => Ok(Expr::Name(Name::new(name))),
             Tok::LParen => {
                 let inner = self.parse_expr()?;
                 self.expect(Tok::RParen)?;
@@ -753,7 +763,7 @@ mod tests {
         };
         assert_eq!(handlers.len(), 2);
         assert_eq!(handlers[0].kind.as_deref(), Some("ValueError"));
-        assert_eq!(handlers[0].bind.as_deref(), Some("e"));
+        assert_eq!(handlers[0].bind.as_ref().map(|b| b.id.as_str()), Some("e"));
         assert_eq!(handlers[1].kind, None);
     }
 

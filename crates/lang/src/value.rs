@@ -21,7 +21,9 @@ pub enum Value {
     Float(f64),
     Str(Arc<str>),
     List(Rc<RefCell<Vec<Value>>>),
-    Dict(Rc<RefCell<BTreeMap<String, Value>>>),
+    /// Keys are strings (ints are canonicalized to their decimal text); a
+    /// string key shares its value's `Arc`.
+    Dict(Rc<RefCell<BTreeMap<Arc<str>, Value>>>),
     /// A user-defined function (possibly a method before binding) together
     /// with the id of the file that defines it.
     Func(Arc<FuncDef>, u32),
@@ -101,8 +103,14 @@ impl Value {
         }
     }
 
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Arc::from(s.into()))
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Str(Arc::from(s.as_ref()))
+    }
+
+    /// A one-character string. ASCII characters share this thread's
+    /// preallocated strings instead of allocating.
+    pub fn char(c: char) -> Value {
+        Value::Str(one_char(c))
     }
 
     pub fn list(items: Vec<Value>) -> Value {
@@ -184,6 +192,23 @@ impl Value {
     }
 }
 
+thread_local! {
+    /// The 128 one-character ASCII strings, shared by every `s[i]` and
+    /// `for c in s` on this thread. One table per thread, so pool workers
+    /// never contend on the refcount of a common character like `"0"`.
+    static ASCII_CHARS: [Arc<str>; 128] =
+        std::array::from_fn(|b| Arc::from(char::from(b as u8).encode_utf8(&mut [0; 4]) as &str));
+}
+
+/// `c` as a string, shared from the ASCII table when it is ASCII.
+pub(crate) fn one_char(c: char) -> Arc<str> {
+    if c.is_ascii() {
+        ASCII_CHARS.with(|table| table[c as usize].clone())
+    } else {
+        Arc::from(c.encode_utf8(&mut [0; 4]) as &str)
+    }
+}
+
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.repr())
@@ -217,6 +242,26 @@ mod tests {
         let a = Value::list(vec![Value::Int(1), Value::str("x")]);
         let b = Value::list(vec![Value::Int(1), Value::str("x")]);
         assert!(a.py_eq(&b));
+    }
+
+    #[test]
+    fn ascii_characters_are_shared_per_thread() {
+        let (Value::Str(a), Value::Str(b)) = (Value::char('7'), Value::char('7')) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(&*a, "7");
+        let (Value::Str(x), Value::Str(y)) = (Value::char('é'), Value::char('é')) else {
+            panic!()
+        };
+        assert_eq!((&*x, &*y), ("é", "é"));
+        let other = std::thread::spawn(|| match Value::char('7') {
+            Value::Str(s) => s,
+            _ => unreachable!(),
+        })
+        .join()
+        .unwrap();
+        assert!(!Arc::ptr_eq(&a, &other), "each thread has its own table");
     }
 
     #[test]
