@@ -12,9 +12,9 @@
 //!    execute-parse-install-rerun dependency loop of §4.2.
 //! 3. [`featurize`](crate::featurize::featurize) reduces each trace to the set of binary literals of
 //!    §5.2, ready for `autotype-dnf`.
-//! 4. [`pool`] shards batches of executor jobs across OS threads with a
+//! 4. [`pool`] shards batches of jobs across a crew of OS threads with a
 //!    deterministic, input-ordered merge — the parallel engine behind the
-//!    candidate × example hot loop.
+//!    candidate × example hot loop and the column-detection waves.
 
 pub mod analyze;
 pub mod featurize;

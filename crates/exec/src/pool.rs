@@ -1,35 +1,42 @@
-//! Scoped worker pool for the candidate × example trace-collection loop.
+//! Scoped worker pool for the trace-collection loop and the
+//! column-detection scheduler.
 //!
 //! The hot phase of a session executes every candidate function on every
 //! positive and negative example — thousands of independent interpreter
-//! runs. [`ExecPool::run_ordered`] shards a batch of jobs across N threads,
-//! the calling thread and N − 1 scoped helpers (std only:
-//! `std::thread::scope` plus a mutex-guarded work queue), and returns
-//! results **in input order**, so downstream consumers see
-//! exactly the sequence the serial loop would have produced.
+//! runs — and column detection (§9.1) probes detectors in waves of single
+//! `(detector, value)` cells. [`ExecPool::crew`] opens a **crew**: the
+//! calling thread plus up to N − 1 scoped helpers (std only:
+//! `std::thread::scope`, one mutex-guarded work queue and one condition
+//! variable) that stay alive for the whole closure. Any number of ordered
+//! batches run on the same helpers, so a batch costs a wake-up rather
+//! than a spawn and a join, and each batch returns its results **in input
+//! order**, so downstream consumers see exactly the sequence the serial
+//! loop would have produced. [`ExecPool::run_ordered`] is a crew that
+//! runs one batch.
 //!
 //! Determinism contract: if each job is a pure function of its input (the
 //! engine guarantees this by giving every job exclusive ownership of its
 //! executor), the merged output is bit-identical for every worker count,
 //! including `workers == 1`, which does not spawn any threads at all.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{Scope, ScopedJoinHandle};
 
-/// Jobs run outside the queue and result locks, so a panicking job
-/// cannot poison them.
-const UNPOISONED: &str = "no job runs while the pool's locks are held";
+/// Jobs run outside the crew's lock, so a panicking job cannot poison it.
+const UNPOISONED: &str = "no job runs while the crew's lock is held";
 
 /// A fixed-width execution pool. Cheap to construct; threads are scoped to
-/// each [`run_ordered`](ExecPool::run_ordered) call, so an idle pool holds
-/// no OS resources and the pool can be shared freely across sessions.
+/// a [`crew`](ExecPool::crew), so an idle pool holds no OS threads and the
+/// pool can be shared freely across sessions.
 #[derive(Debug, Clone)]
 pub struct ExecPool {
     workers: usize,
-    /// The threads one `run_ordered` call may use: `workers` clamped to
-    /// the machine's `available_parallelism`, read once at construction.
+    /// The threads one crew may use: `workers` clamped to the machine's
+    /// `available_parallelism`, read once at construction.
     threads: usize,
 }
 
@@ -52,31 +59,84 @@ impl ExecPool {
     }
 
     /// Run `work` over every item, in parallel across up to `workers`
-    /// threads, and return the results in input order.
-    ///
-    /// Items are claimed from a shared queue in input order, so with a
-    /// single worker the execution order is exactly the serial loop's.
-    /// A panic in any job is propagated to the caller with its original
-    /// payload once every thread has stopped.
-    ///
-    /// The thread count is additionally clamped to the machine's
-    /// `available_parallelism`, read once when the pool is built: the jobs
-    /// are pure CPU (interpreter runs, no blocking I/O), so threads beyond
-    /// the core count cannot add throughput — they only add context-switch
-    /// and lock-handoff overhead. Measured on a 1-core container,
-    /// `workers=2` made the table2 sessions phase ~46% slower than
-    /// `workers=1` before this clamp. The calling thread drains the queue
-    /// as one of the workers: a call over `n` items uses the clamped count
-    /// or `n` threads, whichever is fewer, and spawns one fewer scoped
-    /// helpers, so a one-thread call spawns none. Results are unaffected:
-    /// the determinism contract above makes the merged output
-    /// bit-identical for every thread count.
+    /// threads, and return the results in input order: a
+    /// [`crew`](Self::crew) that runs one batch.
     pub fn run_ordered<T, R, F>(&self, items: Vec<T>, work: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
+        self.crew(work, |crew| crew.run(items))
+    }
+
+    /// Open a crew that runs `work` on the items of every batch `body`
+    /// passes to [`Crew::run`], and return what `body` returns.
+    ///
+    /// `work` is fixed for the life of the crew, so it may borrow only
+    /// data from outside it; each batch's items are owned. Items are
+    /// claimed from a shared queue in input order, so with a single
+    /// thread the execution order is exactly the serial loop's.
+    ///
+    /// The thread count is clamped to the machine's
+    /// `available_parallelism`, read once when the pool is built: the jobs
+    /// are pure CPU (interpreter runs, no blocking I/O), so threads beyond
+    /// the core count cannot add throughput — they only add context-switch
+    /// and lock-handoff overhead. Measured on a 1-core container,
+    /// `workers=2` made the table2 sessions phase ~46% slower than
+    /// `workers=1` before this clamp. The calling thread drains each
+    /// batch as one of the workers. Helpers are spawned lazily: a batch of
+    /// `n` items grows the crew to the clamped count or `n` threads,
+    /// whichever is fewer, so a batch of 0 or 1 items, or any batch of a
+    /// one-thread pool, runs inline and spawns nothing. Between batches
+    /// the helpers wait on a condition variable; when `body` returns or
+    /// unwinds they are shut down and joined. Results are unaffected: the
+    /// determinism contract above makes every batch's output
+    /// bit-identical for every thread count.
+    pub fn crew<T, R, F, O>(&self, work: F, body: impl FnOnce(&mut Crew<'_, '_, T, R>) -> O) -> O
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let shared = Shared {
+            board: Mutex::new(Board {
+                queue: VecDeque::new(),
+                results: Vec::new(),
+                running: 0,
+                panic: None,
+                closed: false,
+            }),
+            signal: Condvar::new(),
+        };
+        std::thread::scope(|scope| {
+            body(&mut Crew {
+                threads: self.threads,
+                helpers: Vec::new(),
+                shared: &shared,
+                work: &work,
+                scope,
+            })
+        })
+    }
+}
+
+/// An open crew of [`ExecPool::crew`]: the calling thread plus the scoped
+/// helpers spawned so far, all running one fixed work function.
+pub struct Crew<'scope, 'env, T, R> {
+    threads: usize,
+    helpers: Vec<ScopedJoinHandle<'scope, ()>>,
+    shared: &'env Shared<T, R>,
+    work: &'env (dyn Fn(usize, T) -> R + Sync),
+    scope: &'scope Scope<'scope, 'env>,
+}
+
+impl<T: Send, R: Send> Crew<'_, '_, T, R> {
+    /// Run the crew's work function over every item and return the
+    /// results in input order. A panic in any job resurfaces here with its
+    /// original payload once the batch has stopped: no job starts after
+    /// it, and every job already running finishes first.
+    pub fn run(&mut self, items: Vec<T>) -> Vec<R> {
         let n = items.len();
         let threads = self.threads.min(n);
         if threads <= 1 {
@@ -84,46 +144,128 @@ impl ExecPool {
             return items
                 .into_iter()
                 .enumerate()
-                .map(|(i, item)| work(i, item))
+                .map(|(i, item)| (self.work)(i, item))
                 .collect();
         }
 
-        let queue: Mutex<VecDeque<(usize, T)>> =
-            Mutex::new(items.into_iter().enumerate().collect());
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-        let drain = || loop {
-            // Hold the queue lock only for the pop: jobs are chunky (whole
-            // executor groups), so contention on this mutex is negligible.
-            let job = queue.lock().expect(UNPOISONED).pop_front();
-            let Some((index, item)) = job else {
-                break;
-            };
-            let result = work(index, item);
-            results.lock().expect(UNPOISONED)[index] = Some(result);
-        };
+        let mut board = self.shared.lock();
+        board.queue.extend(items.into_iter().enumerate());
+        board.results.resize_with(n, || None);
+        drop(board);
+        self.shared.signal.notify_all();
+        while self.helpers.len() + 1 < threads {
+            let (shared, work) = (self.shared, self.work);
+            self.helpers.push(self.scope.spawn(move || {
+                drop(shared.drain(work, shared.lock(), |board| board.closed));
+            }));
+        }
 
-        std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(drain)).collect();
-            // Catch the caller's own panic and join every helper
-            // explicitly, so a panic resurfaces with its original payload
-            // instead of the scope's generic message.
-            let mut panic = std::panic::catch_unwind(AssertUnwindSafe(drain)).err();
-            for helper in helpers {
-                if let Err(payload) = helper.join() {
-                    panic.get_or_insert(payload);
-                }
-            }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
-            }
-        });
-
+        // The queue is empty when `drain` returns, so the batch has
+        // stopped once no helper is running a job.
+        let mut board = self
+            .shared
+            .drain(self.work, self.shared.lock(), |board| board.running == 0);
+        let results = std::mem::take(&mut board.results);
+        if let Some(payload) = board.panic.take() {
+            drop(board);
+            std::panic::resume_unwind(payload);
+        }
+        drop(board);
         results
-            .into_inner()
-            .expect(UNPOISONED)
             .into_iter()
             .map(|slot| slot.expect("every queued job produces a result"))
             .collect()
+    }
+}
+
+impl<T, R> Drop for Crew<'_, '_, T, R> {
+    /// Release the helpers and join each one.
+    ///
+    /// The scope alone would wait only until the helpers' closures return.
+    /// A join waits until each thread has exited, and with it until the C
+    /// allocator has handed the thread's malloc arena back for reuse.
+    /// Without the join the next crew's helper can start while that arena
+    /// is still attached and open a fresh one, so how many arenas the
+    /// process ends up with, and its peak memory, would depend on thread
+    /// timing.
+    fn drop(&mut self) {
+        self.shared
+            .board
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.shared.signal.notify_all();
+        for helper in self.helpers.drain(..) {
+            // Jobs run under `catch_unwind`, so a helper returns normally
+            // unless the crew's own bookkeeping failed.
+            if let Err(payload) = helper.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+}
+
+/// What a crew's threads share, behind one lock.
+struct Board<T, R> {
+    /// The current batch's unclaimed jobs, with their input indices.
+    queue: VecDeque<(usize, T)>,
+    /// The current batch's results, by input index.
+    results: Vec<Option<R>>,
+    /// Jobs claimed and not yet stored.
+    running: usize,
+    /// The current batch's first panic payload.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set when the crew ends: idle helpers exit.
+    closed: bool,
+}
+
+struct Shared<T, R> {
+    board: Mutex<Board<T, R>>,
+    /// Notified when a batch is posted, when a batch's last running job
+    /// is stored, and when the crew closes.
+    signal: Condvar,
+}
+
+impl<T, R> Shared<T, R> {
+    fn lock(&self) -> MutexGuard<'_, Board<T, R>> {
+        self.board.lock().expect(UNPOISONED)
+    }
+
+    /// Claim and run jobs, holding the lock only to pop a job or store its
+    /// outcome, and wait for a signal while the queue is empty, until
+    /// `done` holds. A panicking job empties the queue, so the batch stops
+    /// and the caller re-raises the payload.
+    fn drain<'a>(
+        &'a self,
+        work: &(dyn Fn(usize, T) -> R + Sync),
+        mut board: MutexGuard<'a, Board<T, R>>,
+        done: impl Fn(&Board<T, R>) -> bool,
+    ) -> MutexGuard<'a, Board<T, R>> {
+        loop {
+            if let Some((index, item)) = board.queue.pop_front() {
+                board.running += 1;
+                drop(board);
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| work(index, item)));
+                board = self.lock();
+                board.running -= 1;
+                match outcome {
+                    Ok(result) => board.results[index] = Some(result),
+                    Err(payload) => {
+                        board.queue.clear();
+                        board.panic.get_or_insert(payload);
+                    }
+                }
+                if board.running == 0 && board.queue.is_empty() {
+                    self.signal.notify_all();
+                }
+            } else if done(&board) {
+                return board;
+            } else {
+                board = self.signal.wait(board).expect(UNPOISONED);
+            }
+        }
     }
 }
 
@@ -235,6 +377,189 @@ mod tests {
                 "caller panicked: {panicking_on_caller}, payload: {message}"
             );
         }
+    }
+
+    /// The panic message of a caught payload.
+    fn message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_crew_spawns_its_helpers_once_across_batches() {
+        let pool = ExecPool::new(4);
+        if pool.threads < 2 {
+            return; // a one-core machine runs every job on the caller
+        }
+        let caller = std::thread::current().id();
+        let helper_ran = std::sync::atomic::AtomicBool::new(false);
+        let helpers = Mutex::new(std::collections::HashSet::new());
+        pool.crew(
+            |i, x: usize| {
+                let me = std::thread::current().id();
+                if me == caller {
+                    // Hold the caller until a helper has run a job of this
+                    // batch, so every batch uses a helper.
+                    while !helper_ran.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    helpers.lock().unwrap().insert(me);
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+                (i, x)
+            },
+            |crew| {
+                for batch in 0..6 {
+                    helper_ran.store(false, Ordering::SeqCst);
+                    let items: Vec<usize> = (0..8).map(|i| batch * 100 + i).collect();
+                    let out = crew.run(items.clone());
+                    assert_eq!(out, items.into_iter().enumerate().collect::<Vec<_>>());
+                }
+            },
+        );
+        let helpers = helpers.into_inner().unwrap();
+        assert!(
+            !helpers.is_empty() && helpers.len() < pool.threads,
+            "{} helper threads for {} threads",
+            helpers.len(),
+            pool.threads
+        );
+    }
+
+    #[test]
+    fn a_crew_joins_its_helpers_before_it_returns() {
+        // A helper's thread-locals are destroyed as its thread exits,
+        // after its closure has returned: only a join waits for that.
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<OnExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+
+        let pool = ExecPool::new(2);
+        if pool.threads < 2 {
+            return; // a one-core machine runs every job on the caller
+        }
+        let caller = std::thread::current().id();
+        for crews in 1..=3 {
+            let helper_ran = std::sync::atomic::AtomicBool::new(false);
+            pool.run_ordered((0..8).collect::<Vec<usize>>(), |_, x| {
+                if std::thread::current().id() == caller {
+                    while !helper_ran.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    ON_EXIT.with(|slot| {
+                        slot.borrow_mut().get_or_insert_with(|| OnExit);
+                    });
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+                x
+            });
+            assert_eq!(EXITED.load(Ordering::SeqCst), crews, "helper still exiting");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_later_batch_propagates_and_stops_the_crew() {
+        let pool = ExecPool::new(2);
+        if pool.threads < 2 {
+            return; // a one-core machine runs every job on the caller
+        }
+        let caller = std::thread::current().id();
+        for panicking_on_caller in [true, false] {
+            let claimed = std::sync::atomic::AtomicBool::new(false);
+            let started = AtomicUsize::new(0);
+            let finished = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.crew(
+                    |_, (batch, x): (usize, usize)| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        if batch == 3 {
+                            // As in the one-batch test: the other side waits
+                            // until the panicking job has been claimed.
+                            if (std::thread::current().id() == caller) == panicking_on_caller {
+                                claimed.store(true, Ordering::SeqCst);
+                                panic!("batch {batch} job {x} exploded");
+                            }
+                            while !claimed.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        x
+                    },
+                    |crew| {
+                        for batch in 0..6 {
+                            crew.run((0..8).map(|x| (batch, x)).collect());
+                        }
+                    },
+                )
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            let message = message(&*payload);
+            assert!(
+                message.starts_with("batch 3 job ") && message.ends_with(" exploded"),
+                "caller panicked: {panicking_on_caller}, payload: {message}"
+            );
+            // Batches 0..3 ran in full, no job of a later batch started,
+            // and no job was still running when the crew returned.
+            let (started, finished) = (started.into_inner(), finished.into_inner());
+            assert!((3 * 8 + 1..=4 * 8).contains(&started), "{started} started");
+            assert_eq!(finished + 1, started, "one job panicked");
+        }
+    }
+
+    #[test]
+    fn a_one_thread_crew_runs_every_job_on_the_caller() {
+        let pool = ExecPool::new(1);
+        let caller = std::thread::current().id();
+        let out = pool.crew(
+            |i, x: usize| {
+                assert_eq!(std::thread::current().id(), caller);
+                i + x
+            },
+            |crew| {
+                (0..5)
+                    .map(|n| crew.run(vec![10; n]))
+                    .collect::<Vec<Vec<usize>>>()
+            },
+        );
+        assert_eq!(out[3], vec![10, 11, 12]);
+        assert_eq!(out.concat().len(), 10);
+    }
+
+    #[test]
+    fn empty_and_one_item_batches_run_inline() {
+        let pool = ExecPool::new(4);
+        let caller = std::thread::current().id();
+        pool.crew(
+            |_, x: i32| (std::thread::current().id(), x * 2),
+            |crew| {
+                assert!(crew.run(Vec::new()).is_empty());
+                assert_eq!(crew.run(vec![21]), vec![(caller, 42)]);
+                // After helpers exist, small batches still run inline.
+                let wide: Vec<i32> = crew
+                    .run((0..16).collect())
+                    .into_iter()
+                    .map(|r| r.1)
+                    .collect();
+                assert_eq!(wide, (0..16).map(|x| x * 2).collect::<Vec<_>>());
+                assert!(crew.run(Vec::new()).is_empty());
+                assert_eq!(crew.run(vec![-1]), vec![(caller, -2)]);
+            },
+        );
     }
 
     #[test]

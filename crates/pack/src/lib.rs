@@ -39,6 +39,7 @@
 //! bit-identical to the in-process session validator at any concurrency.
 
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use autotype_exec::{probe_trace, Candidate, EntryPoint, Executor, Literal, PackageIndex};
 use autotype_lang::{Program, SiteId, ValueSummary};
@@ -265,6 +266,7 @@ impl Pack {
             validator: SynthesizedValidator {
                 dnf_e: self.dnf_e.clone(),
             },
+            spares: Mutex::new(Vec::new()),
         })
     }
 
@@ -482,10 +484,13 @@ fn read_literal(r: &mut Reader<'_>) -> Result<Literal, PackError> {
 /// instrumentation and checks `∧T(s) → DNF-E` (Algorithm 3), exactly like
 /// `Session::validate`.
 ///
-/// Thread-safe by construction: every probe runs on a [`ProbeExecutor`]
-/// that is rolled back to the pack snapshot afterwards, so each probe is a
-/// pure function of its input and dynamic installs never leak into the
-/// next one.
+/// Thread-safe by construction: every probe runs on a probe slot, a clone
+/// of the snapshot executor that is rolled back to the pack snapshot
+/// afterwards, so each probe is a pure function of its input and dynamic
+/// installs never leak into the next one. The validator keeps its idle
+/// slots and leases one per probe, cloning the snapshot only when every
+/// slot is busy, so it holds at most as many slots as probes it ever ran
+/// at once.
 #[derive(Debug)]
 pub struct PackValidator {
     pack_id: String,
@@ -495,6 +500,9 @@ pub struct PackValidator {
     candidate: Candidate,
     exec: Executor,
     validator: SynthesizedValidator,
+    /// Idle probe slots. Pushing and popping leave the list valid at every
+    /// step, so a poisoned lock is recovered rather than propagated.
+    spares: Mutex<Vec<ProbeExecutor>>,
 }
 
 impl PackValidator {
@@ -518,12 +526,33 @@ impl PackValidator {
 
     /// Algorithm 3 on one input: run, trace, check `∧T(s) → DNF-E`.
     pub fn accepts(&self, input: &str) -> bool {
-        self.accepts_with_fuel(input).0
+        self.probe(input, None).verdict
     }
 
-    /// Probe on a fresh [`ProbeExecutor`] and return `(verdict, fuel_used)`.
+    /// [`accepts`](Self::accepts), plus the fuel the probe burned.
     pub fn accepts_with_fuel(&self, input: &str) -> (bool, u64) {
-        self.accepts_with_fuel_in(&mut self.probe_executor(), input, None)
+        let probe = self.probe(input, None);
+        (probe.verdict, probe.fuel)
+    }
+
+    /// The one probe path: lease an idle probe slot (or clone the snapshot
+    /// executor when none is idle), run with an optional per-probe fuel
+    /// ceiling (clamped to the pack's own budget), and return the slot.
+    pub fn probe(&self, input: &str, max_fuel: Option<u64>) -> Probe {
+        let spare = self.spares().pop();
+        let reused = spare.is_some();
+        let mut slot = spare.unwrap_or_else(|| self.probe_executor());
+        let (verdict, fuel) = self.accepts_with_fuel_in(&mut slot, input, max_fuel);
+        self.spares().push(slot);
+        Probe {
+            verdict,
+            fuel,
+            reused,
+        }
+    }
+
+    fn spares(&self) -> MutexGuard<'_, Vec<ProbeExecutor>> {
+        self.spares.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The per-probe fuel budget baked into the pack at export time.
@@ -531,11 +560,10 @@ impl PackValidator {
         self.exec.fuel()
     }
 
-    /// A reusable probe slot for this validator: one executor clone that
+    /// A fresh probe slot: one executor clone that
     /// [`accepts_with_fuel_in`](Self::accepts_with_fuel_in) resets after
-    /// every probe instead of recloning. A worker that holds a slot pays
-    /// the snapshot clone once per lease, not once per probe.
-    pub fn probe_executor(&self) -> ProbeExecutor {
+    /// every probe instead of recloning.
+    fn probe_executor(&self) -> ProbeExecutor {
         ProbeExecutor {
             exec: self.exec.clone(),
             base_files: self.exec.program().files.len(),
@@ -543,12 +571,11 @@ impl PackValidator {
         }
     }
 
-    /// The one probe path: run through a reusable [`ProbeExecutor`] with an
-    /// optional per-probe fuel ceiling (clamped to the pack's own budget).
-    /// The slot is rolled back to the pack snapshot after the run — dynamic
-    /// installs are undone, the fuel budget is restored — so every probe
-    /// sees the exact rehydrated state, whichever slot it runs on.
-    pub fn accepts_with_fuel_in(
+    /// Run one probe on `slot`, which is rolled back to the pack snapshot
+    /// after the run — dynamic installs are undone, the fuel budget is
+    /// restored — so every probe sees the exact rehydrated state, whichever
+    /// slot it runs on.
+    fn accepts_with_fuel_in(
         &self,
         slot: &mut ProbeExecutor,
         input: &str,
@@ -564,11 +591,19 @@ impl PackValidator {
     }
 }
 
-/// A leased, reusable probe executor (see
-/// [`PackValidator::probe_executor`]): the snapshot clone plus the rollback
-/// point [`PackValidator::accepts_with_fuel_in`] restores after each run.
+/// The outcome of one [`PackValidator::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    pub verdict: bool,
+    pub fuel: u64,
+    /// The probe ran on an idle slot rather than a fresh snapshot clone.
+    pub reused: bool,
+}
+
+/// A reusable probe slot: the snapshot clone plus the rollback point
+/// [`PackValidator::accepts_with_fuel_in`] restores after each run.
 #[derive(Debug)]
-pub struct ProbeExecutor {
+struct ProbeExecutor {
     exec: Executor,
     base_files: usize,
     base_installs: usize,
@@ -702,11 +737,33 @@ mod tests {
         let v = sample_pack().validator().expect("validator");
         let mut slot = v.probe_executor();
         for input in ["abcd", "", "abc", "x", "abcdef", "odd"] {
-            let (cloned, cloned_fuel) = v.accepts_with_fuel(input);
-            let (reused, reused_fuel) = v.accepts_with_fuel_in(&mut slot, input, None);
-            assert_eq!(reused, cloned, "verdict drift on {input:?}");
-            assert_eq!(reused_fuel, cloned_fuel, "fuel drift on {input:?}");
+            let cloned = v.accepts_with_fuel_in(&mut v.probe_executor(), input, None);
+            let reused = v.accepts_with_fuel_in(&mut slot, input, None);
+            assert_eq!(reused, cloned, "drift on {input:?}");
+            let leased = v.probe(input, None);
+            assert_eq!((leased.verdict, leased.fuel), cloned, "drift on {input:?}");
         }
+    }
+
+    #[test]
+    fn probes_lease_idle_slots_and_survive_a_poisoned_lock() {
+        let v = sample_pack().validator().expect("validator");
+        assert!(!v.probe("abcd", None).reused, "the first probe clones");
+        assert!(v.probe("abcd", None).reused, "later probes reuse its slot");
+        assert_eq!(v.spares().len(), 1);
+        // A thread that panics while holding the spare list poisons it;
+        // every later probe must still run and reuse the slot.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = v.spares.lock();
+                panic!("poison the spare list");
+            })
+            .join()
+            .expect_err("the thread panicked");
+        });
+        assert!(v.spares.is_poisoned());
+        assert!(v.probe("abcd", None).reused);
+        assert!(v.accepts("abcd"));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Histogram bucket upper bounds, in microseconds. Probe latency spans
-/// cache hits (sub-microsecond) to full interpreter runs with dynamic
+/// short interpreter runs (a few microseconds) to runs with dynamic
 /// installs (milliseconds), so the buckets are logarithmic.
-pub const LATENCY_BUCKETS_US: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 20_000, 100_000];
+pub const LATENCY_BUCKETS_US: [u64; 11] =
+    [1, 2, 5, 10, 50, 100, 500, 1_000, 5_000, 20_000, 100_000];
 
 /// A fixed-bucket latency histogram (Prometheus `_bucket`/`_sum`/`_count`
 /// semantics: buckets are cumulative at render time, stored sparse here).
@@ -342,6 +343,18 @@ mod tests {
         assert!(out.contains("t_bucket{le=\"+Inf\"} 3"), "{out}");
         assert!(out.contains("t_count{} 3"), "{out}");
         assert_eq!(h.sum_us(), 1_000_065);
+    }
+
+    #[test]
+    fn microsecond_probes_get_their_own_buckets() {
+        let h = Histogram::default();
+        h.record_us(3);
+        let mut out = String::new();
+        h.render(&mut out, "t", "");
+        assert!(out.contains("t_bucket{le=\"1\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"2\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"5\"} 1\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"10\"} 1\n"), "{out}");
     }
 
     #[test]

@@ -38,11 +38,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use autotype_exec::ExecPool;
-use autotype_pack::{load_pack, PackError, PackValidator, ProbeExecutor, PACK_EXTENSION};
+use autotype_pack::{load_pack, PackError, PackValidator, PACK_EXTENSION};
 use autotype_tables::detect_columns;
 
 use crate::cache::ShardedLru;
@@ -56,11 +55,6 @@ const CACHE_SHARDS: usize = 16;
 /// Everything a serving process needs, built once at startup.
 pub struct DetectorRuntime {
     packs: Vec<PackValidator>,
-    /// Per-pack spares of leased probe executors. A probe pops a slot
-    /// (cloning only when the spare list is empty), runs, and pushes the
-    /// reset slot back — so the clone cost is paid once per concurrent
-    /// worker per pack, not once per probe. Bounded by the pool width.
-    spares: Vec<Mutex<Vec<ProbeExecutor>>>,
     pool: ExecPool,
     cache: ShardedLru,
     metrics: Metrics,
@@ -78,7 +72,6 @@ impl DetectorRuntime {
         DetectorRuntime {
             metrics: Metrics::new(&summaries),
             cache,
-            spares: (0..packs.len()).map(|_| Mutex::new(Vec::new())).collect(),
             pool: ExecPool::new(workers),
             packs,
         }
@@ -119,36 +112,27 @@ impl DetectorRuntime {
         self.pool.workers()
     }
 
-    /// One uncached `(pack, value)` probe through a leased executor, with
-    /// full metric accounting. This is the only place probes execute.
+    /// One uncached `(pack, value)` probe on one of the pack's leased
+    /// executors, with full metric accounting. This is the only place the
+    /// runtime executes probes.
     fn probe_uncached(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
         let start = Instant::now();
-        let slot = self.spares[pack].lock().unwrap().pop();
-        let mut slot = match slot {
-            Some(slot) => {
-                Metrics::bump(&self.metrics.executors_reused);
-                slot
-            }
-            None => {
-                Metrics::bump(&self.metrics.executors_cloned);
-                self.packs[pack].probe_executor()
-            }
-        };
-        let (verdict, fuel) = self.packs[pack].accepts_with_fuel_in(&mut slot, value, max_fuel);
-        {
-            let mut spares = self.spares[pack].lock().unwrap();
-            if spares.len() < self.pool.workers() {
-                spares.push(slot);
-            }
-        }
+        let probe = self.packs[pack].probe(value, max_fuel);
+        Metrics::bump(if probe.reused {
+            &self.metrics.executors_reused
+        } else {
+            &self.metrics.executors_cloned
+        });
         let pm = &self.metrics.per_pack[pack];
         pm.latency.record_us(start.elapsed().as_micros() as u64);
         Metrics::bump(&pm.probes);
-        if verdict {
+        if probe.verdict {
             Metrics::bump(&pm.accepts);
         }
-        self.metrics.fuel_spent.fetch_add(fuel, Ordering::Relaxed);
-        verdict
+        self.metrics
+            .fuel_spent
+            .fetch_add(probe.fuel, Ordering::Relaxed);
+        probe.verdict
     }
 
     /// One `(pack, value)` verdict through the cache, with an optional fuel

@@ -69,13 +69,17 @@ fn min_accepts_to_pass(n: usize) -> usize {
 /// issued.
 ///
 /// For each detector tier, still-unclaimed columns contribute waves of
-/// `workers × WAVE_FACTOR` cells each, fanned out through `pool`; a column
-/// stops probing within the tier the moment its accept count reaches the
-/// least count that passes (it passes whatever the remaining values say)
-/// or can no longer reach it (it fails). Columns a tier claims drop out of
-/// later tiers entirely, and no `(detector, value)` cell is probed twice.
-/// A one-value column decides each tier in one wave, so a batch of values
-/// passed as one-value columns is the per-value first-match scan.
+/// `workers × WAVE_FACTOR` cells each; a column stops probing within the
+/// tier the moment its accept count reaches the least count that passes
+/// (it passes whatever the remaining values say) or can no longer reach
+/// it (it fails). Columns a tier claims drop out of later tiers entirely,
+/// and no `(detector, value)` cell is probed twice. A one-value column
+/// decides each tier in one wave, so a batch of values passed as
+/// one-value columns is the per-value first-match scan.
+///
+/// One call opens one [`crew`](ExecPool::crew) of `pool` and sends every
+/// wave of every tier through it, so the pool's helper threads are
+/// spawned at most once per call, not once per wave.
 ///
 /// `probe` must be a pure function of its arguments: then the result
 /// equals the serial column-by-column, detector-by-detector loop at every
@@ -103,59 +107,62 @@ where
     let mut unresolved: Vec<usize> = (0..columns.len())
         .filter(|&ci| !columns[ci].is_empty())
         .collect();
-    for di in 0..detectors {
-        if unresolved.is_empty() {
-            break;
-        }
-        let mut tallies: Vec<Tally> = unresolved
-            .iter()
-            .map(|&ci| Tally {
-                ci,
-                probed: 0,
-                accepted: 0,
-                need: min_accepts_to_pass(columns[ci].len()),
-                decided: None,
-            })
-            .collect();
-        loop {
-            let mut cells: Vec<(usize, usize)> = Vec::new();
-            for (ti, t) in tallies.iter().enumerate() {
-                if t.decided.is_none() {
-                    let hi = (t.probed + wave).min(columns[t.ci].len());
-                    cells.extend((t.probed..hi).map(|vi| (ti, vi)));
-                }
-            }
-            if cells.is_empty() {
+    // A cell is `(tally, detector, column, value)`: the crew's work
+    // function outlives each tier's tallies, so it carries its indices.
+    let work =
+        |_, (ti, di, ci, vi): (usize, usize, usize, usize)| (ti, probe(di, &columns[ci][vi]));
+    pool.crew(work, |crew| {
+        for di in 0..detectors {
+            if unresolved.is_empty() {
                 break;
             }
-            issued += cells.len();
-            let verdicts = pool.run_ordered(cells, |_, (ti, vi)| {
-                (ti, probe(di, &columns[tallies[ti].ci][vi]))
-            });
-            for (ti, verdict) in verdicts {
-                tallies[ti].probed += 1;
-                if verdict {
-                    tallies[ti].accepted += 1;
+            let mut tallies: Vec<Tally> = unresolved
+                .iter()
+                .map(|&ci| Tally {
+                    ci,
+                    probed: 0,
+                    accepted: 0,
+                    need: min_accepts_to_pass(columns[ci].len()),
+                    decided: None,
+                })
+                .collect();
+            loop {
+                let mut cells = Vec::new();
+                for (ti, t) in tallies.iter().enumerate() {
+                    if t.decided.is_none() {
+                        let hi = (t.probed + wave).min(columns[t.ci].len());
+                        cells.extend((t.probed..hi).map(|vi| (ti, di, t.ci, vi)));
+                    }
+                }
+                if cells.is_empty() {
+                    break;
+                }
+                issued += cells.len();
+                for (ti, verdict) in crew.run(cells) {
+                    tallies[ti].probed += 1;
+                    if verdict {
+                        tallies[ti].accepted += 1;
+                    }
+                }
+                for t in tallies.iter_mut().filter(|t| t.decided.is_none()) {
+                    let remaining = columns[t.ci].len() - t.probed;
+                    if t.accepted >= t.need {
+                        t.decided = Some(true);
+                    } else if t.accepted + remaining < t.need {
+                        t.decided = Some(false);
+                    }
                 }
             }
-            for t in tallies.iter_mut().filter(|t| t.decided.is_none()) {
-                let remaining = columns[t.ci].len() - t.probed;
-                if t.accepted >= t.need {
-                    t.decided = Some(true);
-                } else if t.accepted + remaining < t.need {
-                    t.decided = Some(false);
+            unresolved.clear();
+            for t in &tallies {
+                if t.decided == Some(true) {
+                    out[t.ci] = Some(di);
+                } else {
+                    unresolved.push(t.ci);
                 }
             }
         }
-        unresolved.clear();
-        for t in &tallies {
-            if t.decided == Some(true) {
-                out[t.ci] = Some(di);
-            } else {
-                unresolved.push(t.ci);
-            }
-        }
-    }
+    });
     (out, issued)
 }
 
