@@ -2,47 +2,57 @@
 //!
 //! ```text
 //! figures [experiment] [--full]
-//!
-//! experiments: fig8 fig9 fig10a fig10b fig10c fig12 fig13 fig14
-//!              table2 table3 all bench-json
 //! ```
 //!
-//! `bench-json` is not part of `all`: it sweeps the exec-pool worker count
-//! over a few representative types and writes per-stage wall-clock timings
-//! to `BENCH_pipeline.json` — the synthesis pipeline stages per type, plus
-//! the batched table2 column detection and the search-index build (figures
-//! themselves are bit-identical at every worker count; only the timings
-//! vary).
+//! `experiment` is one of the paper's figures and tables, `fig8` through
+//! `table3` (the names are listed in `EXPERIMENTS`), or `all`, the
+//! default, which runs every one of them in that order. An unknown
+//! experiment, a second experiment or an unknown flag prints the usage to
+//! stderr and exits with status 2.
 //!
 //! Without `--full`, sweeps run over the 20 popular types and a scaled
 //! table corpus so the whole suite finishes in minutes; `--full` evaluates
 //! all 112 benchmark types and the full-scale column corpus.
 
-use autotype_bench::{engine_with_workers, session_for, standard_engine};
+use autotype::{AutoType, AutoTypeConfig};
 use autotype_corpus::{build_corpus, CorpusConfig};
 use autotype_eval as eval;
 use autotype_eval::EvalConfig;
-use autotype_exec::ExecPool;
 use autotype_rank::Method;
-use autotype_search::SearchEngine;
 use autotype_typesys::{popular_types, registry, SemanticType};
-use rand::SeedableRng;
+
+/// The experiments, in the order `all` runs them; the usage text and the
+/// argument check both read this list.
+const EXPERIMENTS: [&str; 10] = [
+    "fig8", "fig9", "fig10a", "fig10b", "fig10c", "fig12", "fig13", "fig14", "table2", "table3",
+];
+
+fn usage_error() -> ! {
+    eprintln!(
+        "usage: figures [experiment] [--full]\nexperiments: {} all",
+        EXPERIMENTS.join(" ")
+    );
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .unwrap_or("all");
-
-    if which == "bench-json" {
-        bench_json();
-        return;
+    let mut full = false;
+    let mut which: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        if arg == "--full" {
+            full = true;
+        } else if which.is_none() && (arg == "all" || EXPERIMENTS.contains(&arg.as_str())) {
+            which = Some(arg);
+        } else {
+            usage_error();
+        }
     }
+    let which = which.as_deref().unwrap_or("all");
 
-    let engine = standard_engine();
+    let engine = AutoType::new(
+        build_corpus(&CorpusConfig::default()),
+        AutoTypeConfig::default(),
+    );
     let cfg = EvalConfig::default();
     let popular: Vec<&SemanticType> = popular_types();
     let all_types: Vec<&SemanticType> = registry().iter().collect();
@@ -252,316 +262,5 @@ fn main() {
             autotype_eval::mean(&counts)
         );
         println!();
-    }
-}
-
-/// Sweep the trace-engine worker count and record per-stage wall-clock
-/// timings: the per-type synthesis pipeline, the batched table2 column
-/// detection, and the search-index build. Written as hand-rolled JSON: the
-/// repo is dependency-free by policy and the schema is a few numbers per
-/// row.
-fn bench_json() {
-    let ms = |t: std::time::Instant| t.elapsed().as_secs_f64() * 1e3;
-    let cfg = EvalConfig::default();
-    let slugs = ["creditcard", "ipv6", "isbn"];
-    let mut rows: Vec<eval::StageTimings> = Vec::new();
-    let mut detection_rows: Vec<(eval::Table2Timings, f64, usize)> = Vec::new();
-    let documents = autotype::corpus_documents(&build_corpus(&CorpusConfig::default()));
-    println!("== bench-json: per-stage timings across worker counts ==");
-    for workers in [1usize, 2, 4, 8] {
-        let engine = engine_with_workers(workers);
-        for slug in slugs {
-            let Some(t) = eval::pipeline_timings(&engine, slug, &cfg) else {
-                eprintln!("  skipped {slug} at workers={workers}: no session");
-                continue;
-            };
-            println!(
-                "workers={:<2} {:<12} retrieval {:>8.3} ms  trace {:>9.3} ms  rank {:>8.3} ms  validate {:>8.3} ms  ({} ranked, fuel {})",
-                t.workers, t.slug, t.retrieval_ms, t.trace_ms, t.rank_ms, t.validate_ms, t.ranked, t.fuel_spent
-            );
-            rows.push(t);
-        }
-
-        // Both-engine index build over the corpus documents (the serial
-        // phase ROADMAP flagged; one job per repository document).
-        let pool = ExecPool::new(workers);
-        let t = std::time::Instant::now();
-        let gh = SearchEngine::github_with_pool(&documents, &pool);
-        let bing = SearchEngine::bing_with_pool(&documents, &pool);
-        let index_build_ms = ms(t);
-        std::hint::black_box((&gh, &bing));
-
-        // Batched table2 column detection (lazy tiered scheduling through
-        // the exec pool).
-        let out = eval::table2_full(&engine, &cfg, 0.1, 600);
-        println!(
-            "workers={:<2} table2: sessions {:>9.3} ms  dnf-detect {:>9.3} ms  kw {:>7.3} ms  regex {:>8.3} ms  index-build {:>8.3} ms  ({} columns, {} dnf detections)",
-            workers,
-            out.timings.sessions_ms,
-            out.timings.dnf_ms,
-            out.timings.kw_ms,
-            out.timings.regex_ms,
-            index_build_ms,
-            out.timings.columns,
-            out.dnf.len()
-        );
-        detection_rows.push((out.timings, index_build_ms, out.dnf.len()));
-    }
-
-    // --- Serve: pack cold-load and verdict-cache latency. ---
-    // Synthesize one pack per slug, then measure what a deployment sees:
-    // cold pack load, first (uncached) batch, repeat (cached) batch.
-    println!("== bench-json: serve (pack cold-load + verdict cache) ==");
-    struct ServeRow {
-        slug: String,
-        pack_id: String,
-        pack_bytes: u64,
-        cold_load_ms: f64,
-    }
-    let pack_dir =
-        std::env::temp_dir().join(format!("autotype-bench-packs-{}", std::process::id()));
-    std::fs::create_dir_all(&pack_dir).expect("pack dir");
-    let engine = standard_engine();
-    let mut serve_rows: Vec<ServeRow> = Vec::new();
-    let mut batch: Vec<String> = Vec::new();
-    for (i, slug) in slugs.iter().enumerate() {
-        let (mut session, ty) = session_for(&engine, slug, 20, 0xBEEF + i as u64);
-        let ranked = session.rank(Method::DnfS);
-        let Some(top) = ranked.first().cloned() else {
-            eprintln!("  skipped {slug}: nothing ranked");
-            continue;
-        };
-        let path = pack_dir.join(format!("{i:02}-{slug}.atpk"));
-        session
-            .save_pack(&top, slug, Method::DnfS, &path)
-            .expect("save pack");
-        let pack_bytes = std::fs::metadata(&path).expect("pack metadata").len();
-        let t = std::time::Instant::now();
-        let validator = autotype_pack::load_pack(&path).expect("load pack");
-        let cold_load_ms = ms(t);
-        println!(
-            "serve: {:<12} pack {:>7} bytes  cold-load {:>7.3} ms  ({})",
-            slug,
-            pack_bytes,
-            cold_load_ms,
-            validator.pack_id()
-        );
-        serve_rows.push(ServeRow {
-            slug: slug.to_string(),
-            pack_id: validator.pack_id().to_string(),
-            pack_bytes,
-            cold_load_ms,
-        });
-        // The probe batch: this type's positives plus shared junk.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAFE + i as u64);
-        batch.extend(ty.examples(&mut rng, 20));
-    }
-    for junk in ["", "hello world", "12345", "not-a-type", "###"] {
-        batch.push(junk.to_string());
-    }
-    let serve_workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let runtime = autotype_serve::DetectorRuntime::load_dir(&pack_dir, serve_workers, 65_536)
-        .expect("serve runtime");
-    let t = std::time::Instant::now();
-    let uncached = runtime.detect_batch(&batch);
-    let uncached_batch_ms = ms(t);
-    let t = std::time::Instant::now();
-    let cached = runtime.detect_batch(&batch);
-    let cached_batch_ms = ms(t);
-    assert_eq!(uncached, cached, "cache must be verdict-transparent");
-    let hit_rate = runtime.metrics().hit_rate();
-    let per_value = |total_ms: f64| total_ms * 1e3 / batch.len().max(1) as f64;
-    println!(
-        "serve: batch of {} values  uncached {:>8.3} ms ({:>7.1} us/value)  cached {:>7.3} ms ({:>6.1} us/value)  hit rate {:.3}",
-        batch.len(),
-        uncached_batch_ms,
-        per_value(uncached_batch_ms),
-        cached_batch_ms,
-        per_value(cached_batch_ms),
-        hit_rate
-    );
-    let executors_reused = autotype_serve::Metrics::read(&runtime.metrics().executors_reused);
-    let executors_cloned = autotype_serve::Metrics::read(&runtime.metrics().executors_cloned);
-
-    // --- Serve throughput: lazy vs eager probe counts, keep-alive vs
-    // per-request connections. Fresh runtimes so caches start cold and
-    // the probe counts are comparable.
-    println!("== bench-json: serve throughput (lazy scheduling + keep-alive) ==");
-    let lazy_rt = autotype_serve::DetectorRuntime::load_dir(&pack_dir, serve_workers, 65_536)
-        .expect("lazy runtime");
-    lazy_rt.detect_batch(&batch);
-    let lazy_probes = autotype_serve::Metrics::read(&lazy_rt.metrics().cache_misses);
-    let probes_saved = autotype_serve::Metrics::read(&lazy_rt.metrics().probes_saved);
-    // The eager matrix probes every `value × pack` cell.
-    let eager_probes = (batch.len() * lazy_rt.packs().len()) as u64;
-    println!(
-        "serve: probes issued  lazy {lazy_probes}  eager {eager_probes}  saved {probes_saved}"
-    );
-    assert!(
-        lazy_probes <= eager_probes,
-        "lazy scheduling must not issue more probes than the eager matrix"
-    );
-
-    let http_rt = std::sync::Arc::new(
-        autotype_serve::DetectorRuntime::load_dir(&pack_dir, serve_workers, 65_536)
-            .expect("http runtime"),
-    );
-    let handle = autotype_serve::serve(
-        http_rt,
-        autotype_serve::ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..autotype_serve::ServerConfig::default()
-        },
-    )
-    .expect("bind bench server");
-    let addr = handle.addr();
-    let body = format!("{{\"value\":\"{}\"}}", batch[0]);
-    const HTTP_REQUESTS: usize = 64;
-    // Warm the verdict cache so both runs measure HTTP overhead, not
-    // first-probe interpreter time.
-    http_request_close(addr, &body);
-
-    let t = std::time::Instant::now();
-    http_requests_keepalive(addr, &body, HTTP_REQUESTS);
-    let keepalive_ms = ms(t);
-    let t = std::time::Instant::now();
-    for _ in 0..HTTP_REQUESTS {
-        http_request_close(addr, &body);
-    }
-    let close_ms = ms(t);
-    handle.shutdown();
-    let req_per_s = |total_ms: f64| HTTP_REQUESTS as f64 / (total_ms / 1e3);
-    println!(
-        "serve: {HTTP_REQUESTS} requests  keep-alive {:>8.3} ms ({:>8.0} req/s)  close {:>8.3} ms ({:>8.0} req/s)",
-        keepalive_ms,
-        req_per_s(keepalive_ms),
-        close_ms,
-        req_per_s(close_ms)
-    );
-    std::fs::remove_dir_all(&pack_dir).ok();
-
-    let mut out = String::from(
-        "{\n  \"bench\": \"pipeline_stage_timings\",\n  \"unit\": \"ms\",\n  \"stages\": [\"retrieval\", \"trace\", \"rank\", \"validate\"],\n  \"rows\": [\n",
-    );
-    for (i, t) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"slug\": \"{}\", \"workers\": {}, \"retrieval_ms\": {:.3}, \"trace_ms\": {:.3}, \"rank_ms\": {:.3}, \"validate_ms\": {:.3}, \"ranked\": {}, \"fuel_spent\": {}}}{}\n",
-            t.slug,
-            t.workers,
-            t.retrieval_ms,
-            t.trace_ms,
-            t.rank_ms,
-            t.validate_ms,
-            t.ranked,
-            t.fuel_spent,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(
-        "  ],\n  \"detection_stages\": [\"sessions\", \"dnf_detect\", \"kw_detect\", \"regex_detect\", \"index_build\"],\n  \"detection_rows\": [\n",
-    );
-    for (i, (t, index_build_ms, dnf_detections)) in detection_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"columns\": {}, \"sessions_ms\": {:.3}, \"dnf_detect_ms\": {:.3}, \"kw_detect_ms\": {:.3}, \"regex_detect_ms\": {:.3}, \"index_build_ms\": {:.3}, \"dnf_detections\": {}}}{}\n",
-            t.workers,
-            t.columns,
-            t.sessions_ms,
-            t.dnf_ms,
-            t.kw_ms,
-            t.regex_ms,
-            index_build_ms,
-            dnf_detections,
-            if i + 1 == detection_rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"serve_rows\": [\n");
-    for (i, r) in serve_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"slug\": \"{}\", \"pack_id\": \"{}\", \"pack_bytes\": {}, \"cold_load_ms\": {:.3}}}{}\n",
-            r.slug,
-            r.pack_id,
-            r.pack_bytes,
-            r.cold_load_ms,
-            if i + 1 == serve_rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"serve_summary\": {{\"packs\": {}, \"workers\": {}, \"batch_values\": {}, \"uncached_batch_ms\": {:.3}, \"uncached_us_per_value\": {:.1}, \"cached_batch_ms\": {:.3}, \"cached_us_per_value\": {:.1}, \"cache_hit_rate\": {:.4}, \"executors_reused\": {executors_reused}, \"executors_cloned\": {executors_cloned}}},\n",
-        serve_rows.len(),
-        serve_workers,
-        batch.len(),
-        uncached_batch_ms,
-        per_value(uncached_batch_ms),
-        cached_batch_ms,
-        per_value(cached_batch_ms),
-        hit_rate
-    ));
-    out.push_str(&format!(
-        "  \"serve_throughput\": {{\"requests\": {HTTP_REQUESTS}, \"keepalive_ms\": {:.3}, \"keepalive_req_per_s\": {:.0}, \"close_ms\": {:.3}, \"close_req_per_s\": {:.0}, \"lazy_probes\": {lazy_probes}, \"eager_probes\": {eager_probes}, \"probes_saved\": {probes_saved}, \"uncached_us_per_value\": {:.1}}}\n",
-        keepalive_ms,
-        req_per_s(keepalive_ms),
-        close_ms,
-        req_per_s(close_ms),
-        per_value(uncached_batch_ms)
-    ));
-    out.push_str("}\n");
-    std::fs::write("BENCH_pipeline.json", &out).expect("write BENCH_pipeline.json");
-    println!(
-        "wrote BENCH_pipeline.json ({} pipeline rows, {} detection rows, {} serve rows)",
-        rows.len(),
-        detection_rows.len(),
-        serve_rows.len()
-    );
-}
-
-/// One `POST /detect` with `Connection: close`, reading to EOF.
-fn http_request_close(addr: std::net::SocketAddr, body: &str) {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).ok();
-    let request = format!(
-        "POST /detect HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-}
-
-/// `n` `POST /detect` requests pipelined serially over one persistent
-/// connection, each response framed by Content-Length.
-fn http_requests_keepalive(addr: std::net::SocketAddr, body: &str, n: usize) {
-    use std::io::{BufRead, BufReader, Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let request = format!(
-        "POST /detect HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    for _ in 0..n {
-        stream.write_all(request.as_bytes()).expect("write");
-        let mut status = String::new();
-        reader.read_line(&mut status).expect("status");
-        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            reader.read_line(&mut header).expect("header");
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().expect("length");
-                }
-            }
-        }
-        let mut resp = vec![0u8; content_length];
-        reader.read_exact(&mut resp).expect("body");
     }
 }

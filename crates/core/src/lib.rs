@@ -168,7 +168,7 @@ pub struct Session<'a> {
 /// Map a corpus to the per-repository search `Document` collection the two
 /// engines index (name / description / README / code text, weighted
 /// differently per engine).
-pub fn corpus_documents(corpus: &Corpus) -> Vec<Document> {
+fn corpus_documents(corpus: &Corpus) -> Vec<Document> {
     corpus
         .repositories
         .iter()
@@ -209,11 +209,6 @@ impl AutoType {
 
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
-    }
-
-    /// Worker count of the trace-collection pool (1 = serial path).
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
     }
 
     /// The engine's shared execution pool — evaluation drivers schedule

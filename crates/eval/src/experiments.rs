@@ -401,36 +401,14 @@ fn header_keywords(slug: &str) -> Vec<&'static str> {
     }
 }
 
-/// Per-stage wall-clock timings of one [`table2_full`] run. Clock readings
-/// vary run to run; the detections and scores they cover are deterministic
-/// at any worker count.
-#[derive(Debug, Clone)]
-pub struct Table2Timings {
-    /// Exec-pool worker count of the engine that ran the experiment.
-    pub workers: usize,
-    /// Columns in the generated corpus.
-    pub columns: usize,
-    /// Per-type synthesis: session build + ranking + pattern inference.
-    pub sessions_ms: f64,
-    /// Batched DNF-S detection (lazy tiered scheduling through the exec
-    /// pool).
-    pub dnf_ms: f64,
-    /// Header-keyword baseline detection.
-    pub kw_ms: f64,
-    /// Inferred-pattern baseline detection.
-    pub regex_ms: f64,
-}
-
 /// Everything a [`table2`] run produces: per-type rows plus the raw
-/// per-method detections (for determinism pinning) and stage timings (for
-/// `figures bench-json`).
+/// per-method detections (for determinism pinning).
 #[derive(Debug, Clone)]
 pub struct Table2Output {
     pub rows: Vec<Table2Row>,
     pub dnf: Vec<Detection>,
     pub kw: Vec<Detection>,
     pub regex: Vec<Detection>,
-    pub timings: Table2Timings,
 }
 
 /// Table 2 / Figure 11: column-type detection over the synthetic web-table
@@ -445,7 +423,7 @@ pub fn table2(
     table2_full(engine, cfg, table_scale, untyped).rows
 }
 
-/// [`table2`] with detections and stage timings exposed.
+/// [`table2`] with the per-method detections exposed.
 ///
 /// DNF-S detection is batched: each per-type synthesized validator becomes
 /// a thread-safe [`PackValidator`] handle, and `detect_by_values_batched`
@@ -463,7 +441,6 @@ pub fn table2_full(
     table_scale: f64,
     untyped: usize,
 ) -> Table2Output {
-    let ms = |t: std::time::Instant| t.elapsed().as_secs_f64() * 1e3;
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7AB1E);
     let columns = generate_columns(
         &TableConfig {
@@ -475,7 +452,6 @@ pub fn table2_full(
     );
 
     // Build one session + top-1 function per type.
-    let t = std::time::Instant::now();
     let mut sessions: Vec<(&'static str, Session<'_>, RankedFunction)> = Vec::new();
     let mut patterns: Vec<(&'static str, Option<InferredPattern>)> = Vec::new();
     for (slug, _) in PAPER_TYPE_COUNTS {
@@ -497,13 +473,11 @@ pub fn table2_full(
             }
         }
     }
-    let sessions_ms = ms(t);
 
     // DNF detection: >80% of values accepted by the synthesized validator,
     // batched through the exec pool. Functions without a validator would
     // answer false for every value (never reaching the threshold), so
     // skipping them changes nothing — including first-win priority.
-    let t = std::time::Instant::now();
     let handles: Vec<(&'static str, PackValidator)> = sessions
         .iter()
         .filter_map(|(slug, session, top)| session.batch_validator(top).map(|bv| (*slug, bv)))
@@ -518,18 +492,13 @@ pub fn table2_full(
         })
         .collect();
     let dnf_detections = detect_by_values_batched(&columns, &detectors, engine.pool());
-    let dnf_ms = ms(t);
 
-    let t = std::time::Instant::now();
     let keywords: Vec<(&'static str, Vec<&'static str>)> = PAPER_TYPE_COUNTS
         .iter()
         .map(|(slug, _)| (*slug, header_keywords(slug)))
         .collect();
     let kw_detections = detect_by_header(&columns, &keywords);
-    let kw_ms = ms(t);
-    let t = std::time::Instant::now();
     let regex_detections = detect_by_pattern(&columns, &patterns);
-    let regex_ms = ms(t);
 
     let rows = PAPER_TYPE_COUNTS
         .iter()
@@ -551,14 +520,6 @@ pub fn table2_full(
         dnf: dnf_detections,
         kw: kw_detections,
         regex: regex_detections,
-        timings: Table2Timings {
-            workers: engine.workers(),
-            columns: columns.len(),
-            sessions_ms,
-            dnf_ms,
-            kw_ms,
-            regex_ms,
-        },
     }
 }
 
@@ -613,68 +574,4 @@ pub fn types_by_slugs(slugs: &[&str]) -> Vec<&'static SemanticType> {
         .iter()
         .map(|s| by_slug(s).expect("known slug"))
         .collect()
-}
-
-/// Per-stage wall-clock timings of one synthesis session, in milliseconds.
-/// The clock readings vary run to run, but every *output* measured here
-/// (ranking, fuel, verdicts) is deterministic at any worker count.
-#[derive(Debug, Clone)]
-pub struct StageTimings {
-    pub slug: String,
-    /// Trace-engine worker count the engine was built with.
-    pub workers: usize,
-    pub retrieval_ms: f64,
-    /// Session build: negative generation + the candidate × example
-    /// traced-execution hot loop (the stage the worker pool shards).
-    pub trace_ms: f64,
-    pub rank_ms: f64,
-    pub validate_ms: f64,
-    /// Functions in the final DNF-S ranking.
-    pub ranked: usize,
-    pub fuel_spent: u64,
-}
-
-/// Time each pipeline stage for one type on the given engine. Returns
-/// `None` when retrieval or session construction fails for the type.
-pub fn pipeline_timings(engine: &AutoType, slug: &str, cfg: &EvalConfig) -> Option<StageTimings> {
-    let ms = |t: std::time::Instant| t.elapsed().as_secs_f64() * 1e3;
-    let ty = by_slug(slug)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ ty.id as u64);
-    let positives = ty.examples(&mut rng, cfg.n_pos);
-
-    let t = std::time::Instant::now();
-    let hits = engine.retrieve(ty.keyword());
-    let retrieval_ms = ms(t);
-    if hits.is_empty() {
-        return None;
-    }
-
-    let t = std::time::Instant::now();
-    let mut session =
-        engine.session(ty.keyword(), &positives, NegativeMode::Hierarchy, &mut rng)?;
-    let trace_ms = ms(t);
-
-    let t = std::time::Instant::now();
-    let ranked = session.rank(Method::DnfS);
-    let rank_ms = ms(t);
-
-    let t = std::time::Instant::now();
-    if let Some(top) = ranked.first() {
-        let mut prng = StdRng::seed_from_u64(cfg.seed ^ 0xBE7C);
-        for probe in ty.examples(&mut prng, cfg.n_test_pos) {
-            std::hint::black_box(session.validate(top, &probe));
-        }
-    }
-    let validate_ms = ms(t);
-
-    Some(StageTimings {
-        slug: slug.to_string(),
-        workers: engine.workers(),
-        retrieval_ms,
-        trace_ms,
-        rank_ms,
-        validate_ms,
-        ranked: ranked.len(),
-        fuel_spent: session.fuel_spent,
-    })
 }

@@ -13,8 +13,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo build --release =="
-cargo build --release
+# `--locked`: a manifest edit whose Cargo.lock is stale fails here instead
+# of being rewritten silently.
+echo "== cargo build --release --locked =="
+cargo build --release --locked
 
 echo "== cargo test -q (tier-1: root package) =="
 cargo test -q
@@ -36,7 +38,7 @@ cargo run --release --offline -q -p autotype-bench --bin figures -- all |
 # it: build it and run its unit tests here, so removing API it uses fails
 # this gate instead of the benchmark.
 echo "== perfbench: build + unit tests =="
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml --bins -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
