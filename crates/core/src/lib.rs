@@ -45,8 +45,8 @@ use autotype_exec::{
 use autotype_lang::Program;
 use autotype_negative::{generate_negatives, random_negatives, MutationConfig, Strategy};
 pub use autotype_pack::{load_pack, Pack, PackError, PackValidator};
-use autotype_rank::{rank as rank_methods, FunctionTraces, Method, RankCandidate};
-use autotype_search::{union_top_k, Document, Field, SearchEngine};
+use autotype_rank::{rank as rank_methods, FunctionTraces, Method};
+use autotype_search::{union_top_k, Document, Field, Index, SearchEngine};
 use autotype_synth::{
     explain_cover, harvest_transformations, SynthesizedValidator, Transformation,
 };
@@ -121,11 +121,12 @@ pub struct RankedFunction {
     pub quality: Quality,
 }
 
-/// The engine: corpus + search indexes + package index + execution pool.
+/// The engine: corpus + search index + package index + execution pool.
 pub struct AutoType {
     corpus: Corpus,
-    github: SearchEngine,
-    bing: SearchEngine,
+    /// One index over the corpus; the GitHub and Bing engines are two
+    /// weightings of it.
+    index: Index,
     packages: PackageIndex,
     /// The trace-collection pool, shared by every session of this engine
     /// (evaluation drivers that loop over many types reuse it for free).
@@ -156,6 +157,7 @@ pub struct Session<'a> {
     /// Which mutation strategy produced the accepted negatives.
     pub strategy: Option<Strategy>,
     candidates: Vec<SessionCandidate>,
+    /// Each candidate's traces and KW document, aligned with `candidates`.
     traces: Vec<FunctionTraces>,
     documents: Vec<String>,
     executors: Vec<Executor>,
@@ -165,9 +167,9 @@ pub struct Session<'a> {
     pub installs: usize,
 }
 
-/// Map a corpus to the per-repository search `Document` collection the two
-/// engines index (name / description / README / code text, weighted
-/// differently per engine).
+/// Map a corpus to the per-repository search `Document` collection the
+/// index holds (name / description / README / code text, weighted
+/// differently per engine at query time).
 fn corpus_documents(corpus: &Corpus) -> Vec<Document> {
     corpus
         .repositories
@@ -185,22 +187,18 @@ fn corpus_documents(corpus: &Corpus) -> Vec<Document> {
 }
 
 impl AutoType {
+    /// Index the corpus (one tokenizing pass on the calling thread), load
+    /// its packages and start the execution pool of `config.workers`.
     pub fn new(corpus: Corpus, config: AutoTypeConfig) -> AutoType {
-        let documents = corpus_documents(&corpus);
-        // The pool is built first so corpus tokenization / index
-        // construction — embarrassingly parallel over repositories — also
-        // fans out across it.
+        let index = Index::build(&corpus_documents(&corpus));
         let pool = ExecPool::new(config.workers);
-        let github = SearchEngine::github_with_pool(&documents, &pool);
-        let bing = SearchEngine::bing_with_pool(&documents, &pool);
         let mut packages = PackageIndex::new();
         for (name, source) in &corpus.packages {
             packages.insert(name, source);
         }
         AutoType {
             corpus,
-            github,
-            bing,
+            index,
             packages,
             pool,
             config,
@@ -211,8 +209,9 @@ impl AutoType {
         &self.corpus
     }
 
-    /// The engine's shared execution pool — evaluation drivers schedule
-    /// column detection through it (see `detect_by_values_batched`).
+    /// The engine's execution pool: sessions shard trace collection over
+    /// it, and evaluation drivers schedule column detection through it
+    /// (see `detect_by_values_batched`).
     pub fn pool(&self) -> &ExecPool {
         &self.pool
     }
@@ -220,7 +219,8 @@ impl AutoType {
     /// Keyword retrieval: union of top-k from both engines (§4.1).
     pub fn retrieve(&self, keyword: &str) -> Vec<usize> {
         union_top_k(
-            &[&self.github, &self.bing],
+            &self.index,
+            &[SearchEngine::GITHUB, SearchEngine::BING],
             keyword,
             self.config.top_k_repos,
         )
@@ -556,19 +556,10 @@ impl<'a> Session<'a> {
         if self.negatives.is_empty() {
             return self.rank_without_negatives();
         }
-        let rank_inputs: Vec<RankCandidate> = self
-            .candidates
-            .iter()
-            .enumerate()
-            .map(|(id, _)| RankCandidate {
-                id,
-                traces: self.traces[id].clone(),
-                document: self.documents[id].clone(),
-            })
-            .collect();
         let ranked = rank_methods(
             method,
-            &rank_inputs,
+            &self.traces,
+            &self.documents,
             &self.keyword,
             &self.engine.config.cover,
         );

@@ -59,15 +59,6 @@ impl Program {
         Ok((self.files.len() - 1) as u32)
     }
 
-    /// Add an already-parsed module.
-    pub fn add_module(&mut self, name: &str, module: Module) -> u32 {
-        self.files.push(Arc::new(SourceFile {
-            name: name.to_string(),
-            module,
-        }));
-        (self.files.len() - 1) as u32
-    }
-
     pub fn file_id(&self, name: &str) -> Option<u32> {
         self.files
             .iter()

@@ -57,33 +57,12 @@ impl FunctionTraces {
     }
 
     /// The black-box view for the RET baseline: the recorded final-result
-    /// traces when available, otherwise a fallback that strips branch
-    /// literals from the full traces.
+    /// traces in place of the full ones.
     pub fn black_box(&self) -> FunctionTraces {
-        if !self.pos_bb.is_empty() || !self.neg_bb.is_empty() {
-            return FunctionTraces {
-                pos: self.pos_bb.clone(),
-                neg: self.neg_bb.clone(),
-                pos_bb: self.pos_bb.clone(),
-                neg_bb: self.neg_bb.clone(),
-            };
-        }
-        let filter = |traces: &[BTreeSet<Literal>]| {
-            traces
-                .iter()
-                .map(|t| {
-                    t.iter()
-                        .filter(|l| !matches!(l, Literal::Branch { .. }))
-                        .cloned()
-                        .collect()
-                })
-                .collect()
-        };
         FunctionTraces {
-            pos: filter(&self.pos),
-            neg: filter(&self.neg),
-            pos_bb: Vec::new(),
-            neg_bb: Vec::new(),
+            pos: self.pos_bb.clone(),
+            neg: self.neg_bb.clone(),
+            ..Default::default()
         }
     }
 }
@@ -126,23 +105,12 @@ mod tests {
     }
 
     #[test]
-    fn black_box_fallback_strips_branches() {
+    fn black_box_is_the_recorded_final_results() {
         let mut t = traces();
-        t.pos[0].insert(Literal::Ret {
-            site: SiteId::new(0, 20),
-            value: autotype_lang::ValueSummary::Bool(true),
-        });
-        let filtered = t.black_box();
-        assert_eq!(filtered.pos[0].len(), 1);
-        assert!(filtered.pos[1].is_empty());
-    }
-
-    #[test]
-    fn black_box_prefers_recorded_final_results() {
-        let mut t = traces();
-        t.pos_bb = vec![BTreeSet::new(), BTreeSet::new()];
+        t.pos_bb = vec![[lit(20, true)].into_iter().collect(), BTreeSet::new()];
         t.neg_bb = vec![BTreeSet::new()];
         let bb = t.black_box();
-        assert!(bb.pos.iter().all(|s| s.is_empty()));
+        assert_eq!(bb.pos, t.pos_bb);
+        assert_eq!(bb.neg, t.neg_bb);
     }
 }

@@ -17,4 +17,4 @@ pub mod methods;
 
 pub use features::FunctionTraces;
 pub use lr::{lr_score, LrConfig};
-pub use methods::{rank, Method, RankCandidate, Ranked};
+pub use methods::{rank, Method, Ranked};

@@ -4,7 +4,7 @@ use crate::features::FunctionTraces;
 use crate::lr::{lr_score, LrConfig};
 use autotype_dnf::{best_cover_complete, best_k_concise_cover, CoverParams, DnfCover};
 use autotype_exec::Literal;
-use autotype_search::{Document, Field, Index, Scoring};
+use autotype_search::{Document, Field, FieldWeights, Index, Scoring};
 
 /// The ranking methods of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,18 +41,10 @@ impl Method {
     }
 }
 
-/// One candidate function as seen by the rankers: an opaque id, its traces,
-/// and its text (for KW).
-pub struct RankCandidate {
-    pub id: usize,
-    pub traces: FunctionTraces,
-    /// Source text + names + repository description, the KW "document".
-    pub document: String,
-}
-
 /// A ranked function.
 #[derive(Debug, Clone)]
 pub struct Ranked {
+    /// The candidate's position in the ranked slices.
     pub id: usize,
     /// Primary score in `[0,1]` (positive coverage / accuracy / normalized
     /// keyword score).
@@ -65,32 +57,35 @@ pub struct Ranked {
     pub literals: Vec<Literal>,
 }
 
-/// Rank candidates under a method. Candidates the method cannot score (no
-/// separating DNF exists) are omitted, matching Algorithm 2's
+/// Rank candidates under a method. Candidate `id` has traces `traces[id]`
+/// and KW document `documents[id]` (source text + names + repository
+/// description). Candidates the method cannot score (no separating DNF
+/// exists) are omitted, matching Algorithm 2's
 /// `Best-k-Concise-Cover(P, N, F) ≠ ∅` filter.
 pub fn rank(
     method: Method,
-    candidates: &[RankCandidate],
+    traces: &[FunctionTraces],
+    documents: &[String],
     keyword: &str,
     params: &CoverParams,
 ) -> Vec<Ranked> {
     let mut out: Vec<Ranked> = match method {
-        Method::DnfS | Method::DnfC | Method::Ret => candidates
+        Method::DnfS | Method::DnfC | Method::Ret => traces
             .iter()
-            .filter_map(|c| {
-                let traces = if method == Method::Ret {
-                    c.traces.black_box()
+            .enumerate()
+            .filter_map(|(id, t)| {
+                let (input, literals) = if method == Method::Ret {
+                    t.black_box().cover_input()
                 } else {
-                    c.traces.clone()
+                    t.cover_input()
                 };
-                let (input, literals) = traces.cover_input();
                 let cover = if method == Method::DnfC {
                     best_cover_complete(&input, params)
                 } else {
                     best_k_concise_cover(&input, params)
                 }?;
                 Some(Ranked {
-                    id: c.id,
+                    id,
                     score: cover.pos_fraction(),
                     neg_fraction: cover.neg_fraction(),
                     dnf: Some(cover),
@@ -98,11 +93,12 @@ pub fn rank(
                 })
             })
             .collect(),
-        Method::Lr => candidates
+        Method::Lr => traces
             .iter()
-            .map(|c| Ranked {
-                id: c.id,
-                score: lr_score(&c.traces, &LrConfig::default()),
+            .enumerate()
+            .map(|(id, t)| Ranked {
+                id,
+                score: lr_score(t, &LrConfig::default()),
                 neg_fraction: 0.0,
                 dnf: None,
                 literals: Vec::new(),
@@ -110,20 +106,20 @@ pub fn rank(
             .filter(|r| r.score > 0.5)
             .collect(),
         Method::Kw => {
-            let documents: Vec<Document> = candidates
+            let documents: Vec<Document> = documents
                 .iter()
                 .enumerate()
-                .map(|(pos, c)| Document {
-                    id: pos,
-                    fields: vec![(Field::Code, c.document.clone())],
+                .map(|(id, text)| Document {
+                    id,
+                    fields: vec![(Field::Code, text.clone())],
                 })
                 .collect();
-            let index = Index::build(&documents, autotype_search::index::FieldWeights::uniform());
-            let hits = index.score(keyword, Scoring::TfIdf);
+            let index = Index::build(&documents);
+            let hits = index.score(keyword, FieldWeights::uniform(), Scoring::TfIdf);
             let max = hits.first().map(|(_, s)| *s).unwrap_or(1.0).max(1e-9);
             hits.into_iter()
-                .map(|(pos, score)| Ranked {
-                    id: candidates[pos].id,
+                .map(|(id, score)| Ranked {
+                    id,
                     score: score / max,
                     neg_fraction: 0.0,
                     dnf: None,
@@ -164,38 +160,42 @@ mod tests {
         lits.iter().cloned().collect()
     }
 
-    /// One separating candidate, one non-separating candidate.
-    fn candidates() -> Vec<RankCandidate> {
-        vec![
-            RankCandidate {
-                id: 0,
-                traces: FunctionTraces {
-                    pos: (0..10).map(|_| set(&[lit(5, true)])).collect(),
-                    neg: (0..40).map(|_| set(&[lit(5, false)])).collect(),
-                    ..Default::default()
-                },
-                document: "validate credit card checksum luhn".into(),
+    /// One separating candidate, one non-separating candidate, and their
+    /// KW documents.
+    fn candidates() -> (Vec<FunctionTraces>, Vec<String>) {
+        let traces = vec![
+            FunctionTraces {
+                pos: (0..10).map(|_| set(&[lit(5, true)])).collect(),
+                neg: (0..40).map(|_| set(&[lit(5, false)])).collect(),
+                ..Default::default()
             },
-            RankCandidate {
-                id: 1,
-                traces: FunctionTraces {
-                    pos: (0..10).map(|_| set(&[lit(9, true)])).collect(),
-                    neg: (0..40).map(|_| set(&[lit(9, true)])).collect(),
-                    ..Default::default()
-                },
-                document: "credit card credit card credit card form field".into(),
+            FunctionTraces {
+                pos: (0..10).map(|_| set(&[lit(9, true)])).collect(),
+                neg: (0..40).map(|_| set(&[lit(9, true)])).collect(),
+                ..Default::default()
             },
-        ]
+        ];
+        let documents = vec![
+            "validate credit card checksum luhn".into(),
+            "credit card credit card credit card form field".into(),
+        ];
+        (traces, documents)
+    }
+
+    fn rank_candidates(method: Method) -> Vec<Ranked> {
+        let (traces, documents) = candidates();
+        rank(
+            method,
+            &traces,
+            &documents,
+            "credit card",
+            &CoverParams::default(),
+        )
     }
 
     #[test]
     fn dnf_s_ranks_separating_function_first_and_drops_the_other() {
-        let ranked = rank(
-            Method::DnfS,
-            &candidates(),
-            "credit card",
-            &CoverParams::default(),
-        );
+        let ranked = rank_candidates(Method::DnfS);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].id, 0);
         assert!((ranked[0].score - 1.0).abs() < 1e-9);
@@ -204,57 +204,53 @@ mod tests {
 
     #[test]
     fn kw_prefers_keyword_stuffed_document() {
-        let ranked = rank(
-            Method::Kw,
-            &candidates(),
-            "credit card",
-            &CoverParams::default(),
-        );
+        let ranked = rank_candidates(Method::Kw);
         assert_eq!(ranked[0].id, 1, "KW must fall for keyword stuffing");
     }
 
     #[test]
     fn lr_keeps_only_better_than_chance() {
-        let ranked = rank(
-            Method::Lr,
-            &candidates(),
-            "credit card",
-            &CoverParams::default(),
-        );
+        let ranked = rank_candidates(Method::Lr);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].id, 0);
     }
 
     #[test]
     fn ret_misses_branch_only_separation() {
-        // Separation exists only in branches — RET must fail to rank it.
-        let cands = vec![RankCandidate {
-            id: 0,
-            traces: FunctionTraces {
-                pos: (0..10).map(|_| set(&[lit(5, true)])).collect(),
-                neg: (0..40).map(|_| set(&[lit(5, false)])).collect(),
-                ..Default::default()
-            },
-            document: String::new(),
+        // Separation exists only in branches; the recorded black-box
+        // traces are identical on both sides, so RET must fail to rank it.
+        let result = set(&[Literal::Ret {
+            site: SiteId::new(0, 20),
+            value: autotype_lang::ValueSummary::Bool(true),
+        }]);
+        let traces = vec![FunctionTraces {
+            pos: (0..10).map(|_| set(&[lit(5, true)])).collect(),
+            neg: (0..40).map(|_| set(&[lit(5, false)])).collect(),
+            pos_bb: vec![result.clone(); 10],
+            neg_bb: vec![result; 40],
         }];
-        let ranked = rank(Method::Ret, &cands, "x", &CoverParams::default());
+        let ranked = rank(
+            Method::Ret,
+            &traces,
+            &[String::new()],
+            "x",
+            &CoverParams::default(),
+        );
         assert!(ranked.is_empty(), "RET saw branch literals");
+        let ranked = rank(
+            Method::DnfS,
+            &traces,
+            &[String::new()],
+            "x",
+            &CoverParams::default(),
+        );
+        assert_eq!(ranked.len(), 1, "DNF-S separates on the branch");
     }
 
     #[test]
     fn ranking_is_deterministic() {
-        let a = rank(
-            Method::DnfS,
-            &candidates(),
-            "credit card",
-            &CoverParams::default(),
-        );
-        let b = rank(
-            Method::DnfS,
-            &candidates(),
-            "credit card",
-            &CoverParams::default(),
-        );
+        let a = rank_candidates(Method::DnfS);
+        let b = rank_candidates(Method::DnfS);
         assert_eq!(a.len(), b.len());
         assert_eq!(a[0].id, b[0].id);
     }

@@ -1,7 +1,6 @@
 //! The two simulated search APIs and their top-k union (§4.1).
 
-use crate::index::{Document, FieldWeights, Index, Scoring};
-use autotype_exec::ExecPool;
+use crate::index::{FieldWeights, Index, Scoring};
 
 /// One search hit: the caller-supplied document id plus score.
 #[derive(Debug, Clone, PartialEq)]
@@ -10,101 +9,64 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// A configured search engine over a document collection.
+/// A simulated search API: a field weighting and a scoring function,
+/// applied to a shared [`Index`] at query time.
+#[derive(Debug, Clone, Copy)]
 pub struct SearchEngine {
-    index: Index,
-    scoring: Scoring,
-    ids: Vec<usize>,
-    pub name: &'static str,
+    pub weights: FieldWeights,
+    pub scoring: Scoring,
 }
 
 impl SearchEngine {
     /// The simulated GitHub search API: name/description-heavy TF-IDF —
     /// repository metadata dominates, like topic/name matching on GitHub.
-    pub fn github(documents: &[Document]) -> SearchEngine {
-        SearchEngine::github_with_pool(documents, &ExecPool::new(1))
-    }
-
-    /// [`github`](SearchEngine::github), with corpus tokenization sharded
-    /// across `pool` (identical index at every worker count).
-    pub fn github_with_pool(documents: &[Document], pool: &ExecPool) -> SearchEngine {
-        SearchEngine {
-            index: Index::build_with_pool(
-                documents,
-                FieldWeights {
-                    name: 6.0,
-                    description: 3.0,
-                    readme: 1.0,
-                    code: 0.25,
-                },
-                pool,
-            ),
-            scoring: Scoring::TfIdf,
-            ids: documents.iter().map(|d| d.id).collect(),
-            name: "github",
-        }
-    }
+    pub const GITHUB: SearchEngine = SearchEngine {
+        weights: FieldWeights {
+            name: 6.0,
+            description: 3.0,
+            readme: 1.0,
+            code: 0.25,
+        },
+        scoring: Scoring::TfIdf,
+    };
 
     /// The simulated Bing web search (`"<keyword> site:github.com"`):
     /// full-text BM25 over READMEs and code, which surfaces repositories
     /// whose names don't mention the type — the complementary results the
     /// paper relies on.
-    pub fn bing(documents: &[Document]) -> SearchEngine {
-        SearchEngine::bing_with_pool(documents, &ExecPool::new(1))
-    }
+    pub const BING: SearchEngine = SearchEngine {
+        weights: FieldWeights {
+            name: 1.5,
+            description: 1.5,
+            readme: 3.0,
+            code: 1.0,
+        },
+        scoring: Scoring::Bm25,
+    };
 
-    /// [`bing`](SearchEngine::bing), with corpus tokenization sharded
-    /// across `pool` (identical index at every worker count).
-    pub fn bing_with_pool(documents: &[Document], pool: &ExecPool) -> SearchEngine {
-        SearchEngine {
-            index: Index::build_with_pool(
-                documents,
-                FieldWeights {
-                    name: 1.5,
-                    description: 1.5,
-                    readme: 3.0,
-                    code: 1.0,
-                },
-                pool,
-            ),
-            scoring: Scoring::Bm25,
-            ids: documents.iter().map(|d| d.id).collect(),
-            name: "bing",
-        }
-    }
-
-    /// A custom engine (used by tests and the KW baseline).
-    pub fn custom(documents: &[Document], weights: FieldWeights, scoring: Scoring) -> SearchEngine {
-        SearchEngine {
-            index: Index::build(documents, weights),
-            scoring,
-            ids: documents.iter().map(|d| d.id).collect(),
-            name: "custom",
-        }
-    }
-
-    /// Top-k results for a query.
-    pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.index
-            .score(query, self.scoring)
+    /// Top-k results for a query over `index`.
+    pub fn search(&self, index: &Index, query: &str, k: usize) -> Vec<SearchHit> {
+        index
+            .score(query, self.weights, self.scoring)
             .into_iter()
             .take(k)
             .map(|(pos, score)| SearchHit {
-                doc_id: self.ids[pos],
+                doc_id: index.ids[pos],
                 score,
             })
             .collect()
     }
 }
 
-/// Union of the top-k results from several engines, preserving first-seen
-/// order (GitHub results first, then new Bing results — §4.1 takes "the
-/// union of top-40 repositories returned by these two APIs").
-pub fn union_top_k(engines: &[&SearchEngine], query: &str, k: usize) -> Vec<usize> {
+/// Union of the top-k results from several engines over one index,
+/// preserving first-seen order (GitHub results first, then new Bing
+/// results — §4.1 takes "the union of top-40 repositories returned by
+/// these two APIs").
+pub fn union_top_k(index: &Index, engines: &[SearchEngine], query: &str, k: usize) -> Vec<usize> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for engine in engines {
-        for hit in engine.search(query, k) {
+        for hit in engine.search(index, query, k) {
             if seen.insert(hit.doc_id) {
                 out.push(hit.doc_id);
             }
@@ -116,7 +78,7 @@ pub fn union_top_k(engines: &[&SearchEngine], query: &str, k: usize) -> Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Field;
+    use crate::index::{Document, Field};
 
     fn docs() -> Vec<Document> {
         vec![
@@ -151,52 +113,54 @@ mod tests {
 
     #[test]
     fn both_engines_find_the_obvious_repo() {
-        let d = docs();
-        let github = SearchEngine::github(&d);
-        let bing = SearchEngine::bing(&d);
-        assert_eq!(github.search("isbn", 1)[0].doc_id, 100);
-        assert!(bing.search("isbn", 2).iter().any(|h| h.doc_id == 100));
+        let index = Index::build(&docs());
+        let github = SearchEngine::GITHUB.search(&index, "isbn", 1);
+        assert_eq!(github[0].doc_id, 100);
+        let bing = SearchEngine::BING.search(&index, "isbn", 2);
+        assert!(bing.iter().any(|h| h.doc_id == 100));
     }
 
     #[test]
     fn engines_are_complementary() {
-        let d = docs();
-        let github = SearchEngine::github(&d);
-        let bing = SearchEngine::bing(&d);
-        // The long-form query only matches README text, which the
-        // Bing-style engine weighs higher.
-        let gh_top: Vec<usize> = github
-            .search("international standard book number", 1)
-            .iter()
-            .map(|h| h.doc_id)
-            .collect();
-        let bing_top: Vec<usize> = bing
-            .search("international standard book number", 1)
-            .iter()
-            .map(|h| h.doc_id)
-            .collect();
-        assert_eq!(bing_top, vec![200]);
-        // Union covers everything relevant either way.
-        let union = union_top_k(&[&github, &bing], "isbn", 2);
-        assert!(union.contains(&100));
-        assert!(union.contains(&200));
-        let _ = gh_top;
+        let index = Index::build(&docs());
+        let top = |engine: SearchEngine, query| -> Vec<usize> {
+            engine
+                .search(&index, query, 1)
+                .iter()
+                .map(|h| h.doc_id)
+                .collect()
+        };
+        // One index, two weightings: the GitHub-style name match and the
+        // Bing-style README/description match disagree on the best repo,
+        // so each engine's top-1 adds one the other misses.
+        let query = "library isbn";
+        assert_eq!(top(SearchEngine::GITHUB, query), vec![100]);
+        assert_eq!(top(SearchEngine::BING, query), vec![200]);
+        let engines = [SearchEngine::GITHUB, SearchEngine::BING];
+        assert_eq!(union_top_k(&index, &engines, query, 1), vec![100, 200]);
+        // The long-form query matches only README text.
+        let long_form = "international standard book number";
+        assert_eq!(top(SearchEngine::BING, long_form), vec![200]);
     }
 
     #[test]
     fn union_deduplicates_and_preserves_order() {
-        let d = docs();
-        let github = SearchEngine::github(&d);
-        let bing = SearchEngine::bing(&d);
-        let union = union_top_k(&[&github, &bing], "isbn", 3);
+        let index = Index::build(&docs());
+        let engines = [SearchEngine::GITHUB, SearchEngine::BING];
+        let union = union_top_k(&index, &engines, "isbn", 3);
         let unique: std::collections::HashSet<_> = union.iter().collect();
         assert_eq!(unique.len(), union.len());
+        let github: Vec<usize> = SearchEngine::GITHUB
+            .search(&index, "isbn", 3)
+            .iter()
+            .map(|h| h.doc_id)
+            .collect();
+        assert_eq!(union[..github.len()], github[..], "GitHub results first");
     }
 
     #[test]
     fn k_limits_results() {
-        let d = docs();
-        let github = SearchEngine::github(&d);
-        assert!(github.search("isbn", 1).len() <= 1);
+        let index = Index::build(&docs());
+        assert!(SearchEngine::GITHUB.search(&index, "isbn", 1).len() <= 1);
     }
 }

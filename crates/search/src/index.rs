@@ -1,13 +1,12 @@
-//! Field-weighted inverted index with TF-IDF and BM25 scoring.
+//! Inverted index of per-field token counts, scored under any field
+//! weighting with TF-IDF or BM25.
 //!
-//! Index construction is embarrassingly parallel over documents:
-//! [`Index::build_with_pool`] fans per-document tokenization out across an
-//! [`ExecPool`] and merges the per-document statistics in document order,
-//! so the built index is identical at every worker count.
+//! The index stores raw counts, not weighted frequencies: each engine's
+//! field weights are applied at query time, so the two simulated engines
+//! share one pass over the corpus.
 
 use crate::tokenize::tokenize;
-use autotype_exec::ExecPool;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Document fields, with different weights per engine (repository name
 /// matches matter more on GitHub search; body text matters more on a web
@@ -38,7 +37,11 @@ pub enum Scoring {
     Bm25,
 }
 
-/// Per-field weights applied to term frequencies at index time.
+/// Token counts of one document (or one term in one document), indexed by
+/// `Field as usize`.
+type FieldCounts = [u32; 4];
+
+/// Per-field weights applied to token counts at query time.
 #[derive(Debug, Clone, Copy)]
 pub struct FieldWeights {
     pub name: f64,
@@ -57,121 +60,97 @@ impl FieldWeights {
         }
     }
 
-    fn get(&self, field: Field) -> f64 {
-        match field {
-            Field::Name => self.name,
-            Field::Description => self.description,
-            Field::Readme => self.readme,
-            Field::Code => self.code,
-        }
+    /// Σ weight · count over the fields. With weights that are multiples of
+    /// 0.25 every partial sum is exact, so this equals adding each token's
+    /// weight one at a time.
+    fn weigh(&self, counts: &FieldCounts) -> f64 {
+        self.name * f64::from(counts[Field::Name as usize])
+            + self.description * f64::from(counts[Field::Description as usize])
+            + self.readme * f64::from(counts[Field::Readme as usize])
+            + self.code * f64::from(counts[Field::Code as usize])
     }
 }
 
 /// An inverted index over a fixed document collection.
 pub struct Index {
-    /// term -> (doc, weighted term frequency)
-    postings: HashMap<String, Vec<(usize, f64)>>,
-    /// weighted length per document.
-    doc_len: Vec<f64>,
-    avg_len: f64,
-    n_docs: usize,
+    /// term -> (doc position, the term's count per field), by position.
+    postings: HashMap<String, Vec<(usize, FieldCounts)>>,
+    /// Token count per field, per document.
+    doc_len: Vec<FieldCounts>,
+    /// Caller-supplied document ids, by position.
+    pub(crate) ids: Vec<usize>,
 }
 
 impl Index {
-    /// Build an index with the given field weights on the current thread.
-    pub fn build(documents: &[Document], weights: FieldWeights) -> Index {
-        Index::build_with_pool(documents, weights, &ExecPool::new(1))
-    }
-
-    /// Build an index, sharding per-document tokenization across `pool`.
-    ///
-    /// Tokenizing and weighting one document is a pure function of that
-    /// document, so the corpus fans out as one job per document. The merge
-    /// walks documents in index order: posting lists stay sorted by
-    /// document position and `avg_len` sums lengths in document order, so
-    /// the result is bit-identical for every worker count (a 1-worker pool
-    /// is the exact serial loop). Per-document term counts use a `BTreeMap`
-    /// so the posting-map insertion sequence is canonical too.
-    pub fn build_with_pool(
-        documents: &[Document],
-        weights: FieldWeights,
-        pool: &ExecPool,
-    ) -> Index {
-        let n_docs = documents.len();
-        let per_doc: Vec<(BTreeMap<String, f64>, f64)> =
-            pool.run_ordered(documents.iter().collect(), |_, doc: &Document| {
-                let mut tf: BTreeMap<String, f64> = BTreeMap::new();
-                let mut len = 0.0;
-                for (field, text) in &doc.fields {
-                    let w = weights.get(*field);
-                    for token in tokenize(text) {
-                        *tf.entry(token).or_default() += w;
-                        len += w;
+    /// Tokenize every document once, in order, on the calling thread.
+    pub fn build(documents: &[Document]) -> Index {
+        let mut postings: HashMap<String, Vec<(usize, FieldCounts)>> = HashMap::new();
+        let mut doc_len = Vec::with_capacity(documents.len());
+        for (pos, doc) in documents.iter().enumerate() {
+            let mut len = FieldCounts::default();
+            for (field, text) in &doc.fields {
+                let f = *field as usize;
+                for token in tokenize(text) {
+                    let posting = postings.entry(token).or_default();
+                    match posting.last_mut() {
+                        Some((doc, counts)) if *doc == pos => counts[f] += 1,
+                        _ => {
+                            let mut counts = FieldCounts::default();
+                            counts[f] = 1;
+                            posting.push((pos, counts));
+                        }
                     }
+                    len[f] += 1;
                 }
-                (tf, len)
-            });
-        let mut postings: HashMap<String, Vec<(usize, f64)>> = HashMap::new();
-        let mut doc_len = vec![0.0; n_docs];
-        for (pos, (tf, len)) in per_doc.into_iter().enumerate() {
-            doc_len[pos] = len;
-            for (term, freq) in tf {
-                postings.entry(term).or_default().push((pos, freq));
             }
+            doc_len.push(len);
         }
-        let avg_len = if n_docs == 0 {
-            0.0
-        } else {
-            doc_len.iter().sum::<f64>() / n_docs as f64
-        };
         Index {
             postings,
             doc_len,
-            avg_len,
-            n_docs,
+            ids: documents.iter().map(|d| d.id).collect(),
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.n_docs
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n_docs == 0
-    }
-
-    /// Score all documents against a query; returns (doc position, score)
-    /// for documents with a non-zero score, sorted descending (ties by
-    /// position for determinism).
-    pub fn score(&self, query: &str, scoring: Scoring) -> Vec<(usize, f64)> {
-        let terms = tokenize(query);
-        let mut scores: HashMap<usize, f64> = HashMap::new();
-        for term in &terms {
-            let Some(posting) = self.postings.get(term) else {
+    /// Score all documents against a query under a field weighting;
+    /// returns (doc position, score) for every document that contains a
+    /// query term, sorted descending (ties by position for determinism).
+    pub fn score(&self, query: &str, weights: FieldWeights, scoring: Scoring) -> Vec<(usize, f64)> {
+        let doc_len: Vec<f64> = self.doc_len.iter().map(|c| weights.weigh(c)).collect();
+        let n = doc_len.len() as f64;
+        let avg_len = doc_len.iter().sum::<f64>() / n.max(1.0);
+        let mut scores: Vec<Option<f64>> = vec![None; doc_len.len()];
+        for term in tokenize(query) {
+            let Some(posting) = self.postings.get(&term) else {
                 continue;
             };
             let df = posting.len() as f64;
-            let n = self.n_docs as f64;
             match scoring {
                 Scoring::TfIdf => {
                     let idf = (n / df).ln() + 1.0;
-                    for (doc, tf) in posting {
-                        let norm = self.doc_len[*doc].max(1.0);
-                        *scores.entry(*doc).or_default() += (tf / norm.sqrt()) * idf;
+                    for (doc, counts) in posting {
+                        let tf = weights.weigh(counts);
+                        let norm = doc_len[*doc].max(1.0);
+                        *scores[*doc].get_or_insert(0.0) += (tf / norm.sqrt()) * idf;
                     }
                 }
                 Scoring::Bm25 => {
                     const K1: f64 = 1.2;
                     const B: f64 = 0.75;
                     let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-                    for (doc, tf) in posting {
-                        let norm = K1 * (1.0 - B + B * self.doc_len[*doc] / self.avg_len.max(1.0));
-                        *scores.entry(*doc).or_default() += idf * (tf * (K1 + 1.0)) / (tf + norm);
+                    for (doc, counts) in posting {
+                        let tf = weights.weigh(counts);
+                        let norm = K1 * (1.0 - B + B * doc_len[*doc] / avg_len.max(1.0));
+                        *scores[*doc].get_or_insert(0.0) += idf * (tf * (K1 + 1.0)) / (tf + norm);
                     }
                 }
             }
         }
-        let mut out: Vec<(usize, f64)> = scores.into_iter().collect();
+        let mut out: Vec<(usize, f64)> = scores
+            .into_iter()
+            .enumerate()
+            .filter_map(|(doc, score)| Some((doc, score?)))
+            .collect();
         out.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -206,58 +185,70 @@ mod tests {
             doc(1, "ip-tools", "parse ip address ipv4 ipv6"),
             doc(2, "string-utils", "generic string helpers"),
         ];
-        let index = Index::build(&docs, FieldWeights::uniform());
-        let hits = index.score("credit card", Scoring::TfIdf);
+        let index = Index::build(&docs);
+        let uniform = FieldWeights::uniform();
+        let hits = index.score("credit card", uniform, Scoring::TfIdf);
         assert_eq!(hits[0].0, 0);
-        let hits = index.score("ip address", Scoring::Bm25);
+        let hits = index.score("ip address", uniform, Scoring::Bm25);
         assert_eq!(hits[0].0, 1);
     }
 
     #[test]
     fn no_match_returns_empty() {
         let docs = vec![doc(0, "a", "b")];
-        let index = Index::build(&docs, FieldWeights::uniform());
-        assert!(index.score("zzz qqq", Scoring::TfIdf).is_empty());
+        let index = Index::build(&docs);
+        assert!(index
+            .score("zzz qqq", FieldWeights::uniform(), Scoring::TfIdf)
+            .is_empty());
     }
 
     #[test]
     fn field_weights_shift_ranking() {
         let docs = vec![
             doc(0, "swift", "a general purpose programming language"),
-            Document {
-                id: 1,
-                fields: vec![
-                    (Field::Name, "bank-messages".to_string()),
-                    (
-                        Field::Readme,
-                        "parse swift mt103 interbank financial messages".to_string(),
-                    ),
-                ],
-            },
+            doc(
+                1,
+                "bank-messages",
+                "parse swift mt103 interbank financial messages",
+            ),
         ];
-        // Name-heavy engine favours the Swift language repo.
-        let name_heavy = Index::build(
-            &docs,
-            FieldWeights {
-                name: 8.0,
-                description: 1.0,
-                readme: 0.5,
-                code: 0.5,
-            },
+        let index = Index::build(&docs);
+        // Name-heavy weighting favours the Swift language repo.
+        let name_heavy = FieldWeights {
+            name: 8.0,
+            description: 1.0,
+            readme: 0.5,
+            code: 0.5,
+        };
+        assert_eq!(index.score("swift", name_heavy, Scoring::TfIdf)[0].0, 0);
+        // Body-heavy weighting of the same index favours the
+        // financial-message repo for the disambiguated query.
+        let body_heavy = FieldWeights {
+            name: 1.0,
+            description: 1.0,
+            readme: 3.0,
+            code: 1.0,
+        };
+        assert_eq!(
+            index.score("swift message", body_heavy, Scoring::Bm25)[0].0,
+            1
         );
-        assert_eq!(name_heavy.score("swift", Scoring::TfIdf)[0].0, 0);
-        // Body-heavy engine favours the financial-message repo for the
-        // disambiguated query.
-        let body_heavy = Index::build(
-            &docs,
-            FieldWeights {
-                name: 1.0,
-                description: 1.0,
-                readme: 3.0,
-                code: 1.0,
-            },
-        );
-        assert_eq!(body_heavy.score("swift message", Scoring::Bm25)[0].0, 1);
+    }
+
+    #[test]
+    fn weights_scale_counts_exactly() {
+        // "isbn" twice in the name, once in the README: tf = 2·6 + 1·1.
+        let docs = vec![doc(0, "isbn-isbn", "isbn")];
+        let index = Index::build(&docs);
+        let weights = FieldWeights {
+            name: 6.0,
+            description: 3.0,
+            readme: 1.0,
+            code: 0.25,
+        };
+        // One document: idf = ln(1) + 1 = 1 and the length is the tf.
+        let hits = index.score("isbn", weights, Scoring::TfIdf);
+        assert_eq!(hits, vec![(0, 13.0 / 13.0f64.sqrt())]);
     }
 
     #[test]
@@ -267,45 +258,22 @@ mod tests {
             doc(1, "y", "parser"),
             doc(2, "z", "parser"),
         ];
-        let index = Index::build(&docs, FieldWeights::uniform());
-        let hits = index.score("credit parser", Scoring::TfIdf);
-        assert_eq!(hits[0].0, 0, "rare term should dominate");
-    }
-
-    #[test]
-    fn parallel_build_is_worker_count_invariant() {
-        let docs: Vec<Document> = (0..40)
-            .map(|i| {
-                doc(
-                    i,
-                    &format!("repo-{i}"),
-                    &format!("tokens shared by many docs plus unique-{i} and isbn"),
-                )
-            })
-            .collect();
-        let baseline = Index::build(&docs, FieldWeights::uniform());
-        let queries = ["isbn", "unique-7", "shared docs", "repo-3 tokens"];
-        for workers in [2, 4, 8] {
-            let pool = ExecPool::new(workers);
-            let built = Index::build_with_pool(&docs, FieldWeights::uniform(), &pool);
-            for q in queries {
-                for scoring in [Scoring::TfIdf, Scoring::Bm25] {
-                    assert_eq!(
-                        built.score(q, scoring),
-                        baseline.score(q, scoring),
-                        "workers={workers} q={q}"
-                    );
-                }
-            }
+        let index = Index::build(&docs);
+        for scoring in [Scoring::TfIdf, Scoring::Bm25] {
+            let hits = index.score("credit parser", FieldWeights::uniform(), scoring);
+            assert_eq!(hits[0].0, 0, "rare term should dominate ({scoring:?})");
         }
     }
 
     #[test]
     fn deterministic_tie_break() {
         let docs = vec![doc(0, "same", "x"), doc(1, "same", "x")];
-        let index = Index::build(&docs, FieldWeights::uniform());
-        let hits = index.score("same", Scoring::Bm25);
-        assert_eq!(hits[0].0, 0);
-        assert_eq!(hits[1].0, 1);
+        let index = Index::build(&docs);
+        for scoring in [Scoring::TfIdf, Scoring::Bm25] {
+            let hits = index.score("same", FieldWeights::uniform(), scoring);
+            assert_eq!(hits.len(), 2);
+            assert_eq!(hits[0].1, hits[1].1);
+            assert_eq!((hits[0].0, hits[1].0), (0, 1));
+        }
     }
 }

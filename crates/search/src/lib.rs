@@ -5,15 +5,16 @@
 //! We take the union of top-40 repositories returned by these two APIs
 //! since their results are often complementary" (§4.1).
 //!
-//! This crate supplies the substitution: a field-weighted inverted index
-//! with TF-IDF and BM25 scoring, instantiated twice with different field
-//! weightings to model the two complementary engines, plus the plain
-//! TF-IDF *function* ranking used by the paper's KW baseline (§8.1).
+//! This crate supplies the substitution: one inverted index of per-field
+//! token counts, scored with TF-IDF or BM25 under a field weighting chosen
+//! at query time. The two complementary engines are two (weighting,
+//! scoring) pairs over that one index; the uniform weighting with TF-IDF
+//! is the plain *function* ranking of the paper's KW baseline (§8.1).
 
 pub mod engine;
 pub mod index;
 pub mod tokenize;
 
 pub use engine::{union_top_k, SearchEngine, SearchHit};
-pub use index::{Document, Field, Index, Scoring};
+pub use index::{Document, Field, FieldWeights, Index, Scoring};
 pub use tokenize::tokenize;

@@ -2,28 +2,28 @@
 //! non-alphanumerics, and camelCase / snake_case splitting so identifiers
 //! like `isValidCreditCard` match the query "credit card".
 
-/// Tokenize text into lowercase terms.
+/// Tokenize text into lowercase terms. Any character that is not an ASCII
+/// letter or digit separates tokens, non-ASCII ones included.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if raw.is_empty() {
+    for run in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+        if run.is_empty() {
             continue;
         }
+        // The run is all ASCII, so every byte index is a char boundary.
         // Split camelCase boundaries and letter/digit boundaries.
-        let mut current = String::new();
-        let chars: Vec<char> = raw.chars().collect();
-        for (i, &c) in chars.iter().enumerate() {
-            let boundary = i > 0
-                && ((c.is_ascii_uppercase() && chars[i - 1].is_ascii_lowercase())
-                    || (c.is_ascii_digit() != chars[i - 1].is_ascii_digit()));
-            if boundary && !current.is_empty() {
-                tokens.push(std::mem::take(&mut current).to_ascii_lowercase());
+        let bytes = run.as_bytes();
+        let mut start = 0;
+        for i in 1..bytes.len() {
+            let (prev, c) = (bytes[i - 1], bytes[i]);
+            if (c.is_ascii_uppercase() && prev.is_ascii_lowercase())
+                || c.is_ascii_digit() != prev.is_ascii_digit()
+            {
+                tokens.push(run[start..i].to_ascii_lowercase());
+                start = i;
             }
-            current.push(c);
         }
-        if !current.is_empty() {
-            tokens.push(current.to_ascii_lowercase());
-        }
+        tokens.push(run[start..].to_ascii_lowercase());
     }
     tokens
 }
@@ -55,6 +55,14 @@ mod tests {
     #[test]
     fn lowercases_everything() {
         assert_eq!(tokenize("SWIFT Message"), vec!["swift", "message"]);
+    }
+
+    #[test]
+    fn non_ascii_characters_separate_tokens() {
+        assert_eq!(
+            tokenize("naïveCafé中文ABC12xY"),
+            vec!["na", "ve", "caf", "abc", "12", "x", "y"]
+        );
     }
 
     #[test]

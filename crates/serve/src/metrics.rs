@@ -191,17 +191,6 @@ impl Metrics {
         Self::bump(&self.requests[route as usize]);
     }
 
-    /// Cache hit rate over everything probed so far (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = Self::read(&self.cache_hits) as f64;
-        let total = hits + Self::read(&self.cache_misses) as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
     /// Prometheus text exposition: every family gets exactly one HELP and
     /// one TYPE line, before its first sample.
     pub fn render(&self, cache_entries: usize) -> String {
@@ -355,15 +344,6 @@ mod tests {
         assert!(out.contains("t_bucket{le=\"2\"} 0\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"5\"} 1\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"10\"} 1\n"), "{out}");
-    }
-
-    #[test]
-    fn hit_rate_handles_idle_and_busy() {
-        let m = Metrics::new(&[("p-1".into(), "x".into())]);
-        assert_eq!(m.hit_rate(), 0.0);
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
-        m.cache_misses.fetch_add(1, Ordering::Relaxed);
-        assert!((m.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -468,13 +468,6 @@ pub fn lei_valid(s: &str) -> bool {
     mod97_remainder(s) == Some(1)
 }
 
-/// Compute two check digits making `body || checkdigits` have mod-97
-/// remainder 1 (used to generate IBAN and LEI values).
-pub fn mod97_check_digits(body_with_00: &str) -> Option<u8> {
-    let rem = mod97_remainder(body_with_00)?;
-    Some((98 - rem as u8 % 98) % 98)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,11 +47,6 @@ pub fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
     items[rng.gen_range(0..items.len())]
 }
 
-/// Random integer in `[lo, hi]` rendered as a string.
-pub fn int_in(rng: &mut StdRng, lo: i64, hi: i64) -> String {
-    rng.gen_range(lo..=hi).to_string()
-}
-
 /// Random hex string of length `n` (lowercase).
 pub fn hex(rng: &mut StdRng, n: usize) -> String {
     from_alphabet(rng, "0123456789abcdef", n)
