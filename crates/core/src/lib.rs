@@ -9,8 +9,8 @@
 //! 2. AST analysis for single-parameter candidate functions (§4.2);
 //! 3. negative-example generation by the S1→S2→S3 mutation hierarchy,
 //!    escalating until candidates separate `P` from `N` (Algorithm 2, §6);
-//! 4. instrumented execution of every candidate on `P ∪ N` with the
-//!    pip-install loop (§5.1);
+//! 4. instrumented execution of every candidate on `P ∪ N`, with every
+//!    package a repository imports installed up front (§4.2, §5.1);
 //! 5. ranking by Best-k-Concise-DNF-Cover, or any of the baseline methods
 //!    (§5.2, §8.1);
 //! 6. synthesis of an executable validator from the expanded DNF-E
@@ -157,13 +157,12 @@ pub struct Session<'a> {
     /// Which mutation strategy produced the accepted negatives.
     pub strategy: Option<Strategy>,
     candidates: Vec<SessionCandidate>,
-    /// Each candidate's traces and KW document, aligned with `candidates`.
+    /// Each candidate's traces, aligned with `candidates`.
     traces: Vec<FunctionTraces>,
-    documents: Vec<String>,
     executors: Vec<Executor>,
     /// Total fuel consumed by all runs (the Figure 14 cost measure).
     pub fuel_spent: u64,
-    /// pip-install rounds that were needed.
+    /// Packages the session's executors installed when they were built.
     pub installs: usize,
 }
 
@@ -240,7 +239,6 @@ impl AutoType {
         let repos = self.retrieve(keyword);
         let mut candidates = Vec::new();
         let mut executors: Vec<Executor> = Vec::new();
-        let mut documents = Vec::new();
         let mut installs = 0;
 
         for &repo_id in &repos {
@@ -260,21 +258,7 @@ impl AutoType {
                     continue;
                 }
                 let (cands, _) = analyze_module(file_idx as u32, &file.module);
-                let source_text = repo
-                    .files
-                    .iter()
-                    .find(|f| f.name == file.name)
-                    .map(|f| f.source.clone())
-                    .unwrap_or_default();
                 for candidate in cands {
-                    documents.push(format!(
-                        "{} {} {} {} {}",
-                        repo.name,
-                        repo.description,
-                        file.name,
-                        candidate.entry.label(),
-                        source_text,
-                    ));
                     candidates.push(SessionCandidate {
                         repo: repo_id,
                         file: file.name.clone(),
@@ -296,7 +280,6 @@ impl AutoType {
             strategy: None,
             candidates,
             traces: Vec::new(),
-            documents,
             executors,
             fuel_spent: 0,
             installs,
@@ -383,153 +366,31 @@ impl<'a> Session<'a> {
     /// `self.candidates`. The black-box view records only the summarized
     /// final result (or escaping exception) — the RET baseline's input.
     ///
-    /// With `workers > 1` the work is sharded across the engine's
-    /// [`ExecPool`]; the merge is index-ordered and the sharding respects
-    /// executor ownership, so the output (including `fuel_spent` and
-    /// `installs`) is bit-identical to the serial path for every worker
-    /// count.
+    /// Candidates are sharded one per job across the engine's
+    /// [`ExecPool`], sharing their repository's executor (executors never
+    /// change after they are built). Results come back in candidate order
+    /// and `fuel_spent` is a sum, so the output is bit-identical for every
+    /// worker count; one worker runs inline on the calling thread.
     fn run_all(&mut self, inputs: &[String]) -> Vec<CandidateTraces> {
-        if self.engine.pool.workers() == 1 {
-            self.run_all_serial(inputs)
-        } else {
-            self.run_all_parallel(inputs)
-        }
-    }
-
-    /// The reference implementation: one candidate after another on one
-    /// thread. `workers = 1` runs exactly this code.
-    fn run_all_serial(&mut self, inputs: &[String]) -> Vec<CandidateTraces> {
         let packages = &self.engine.packages;
-        let mut out = Vec::with_capacity(self.candidates.len());
-        for sc in &self.candidates {
-            let exec = &mut self.executors[sc.slot];
-            let mut traces = CandidateTraces::default();
-            for input in inputs {
-                let outcome = exec.run(&sc.candidate, input, packages);
-                self.fuel_spent += outcome.fuel_used;
-                self.installs = self.installs.max(exec.installs);
-                record_run(&mut traces, &outcome);
-            }
-            out.push(traces);
-        }
-        out
-    }
-
-    /// Parallel trace collection with a deterministic merge.
-    ///
-    /// Sharding unit: candidates run against the *same* executor form one
-    /// job, because dynamic package installs append files to the executor's
-    /// program and file ids (hence every `SiteId` in every trace) depend on
-    /// the install order — so a potentially-installing executor must evolve
-    /// serially, in candidate order, exactly as in the serial loop.
-    /// Executors that are provably install-closed cannot change at all, so
-    /// their candidates are split into per-candidate jobs over cheap
-    /// (`Arc`-shallow) executor clones for better load balancing.
-    ///
-    /// Merging is by candidate index; `fuel_spent` is a commutative sum and
-    /// `installs` a monotone max over executors, so both match the serial
-    /// accounting bit for bit.
-    fn run_all_parallel(&mut self, inputs: &[String]) -> Vec<CandidateTraces> {
-        struct Job {
-            slot: usize,
-            exec: Executor,
-            cands: Vec<usize>,
-            /// Whether `exec` is the slot's real executor (returned after
-            /// the job) rather than a disposable install-closed clone.
-            owns_slot: bool,
-        }
-        struct JobOut {
-            slot: usize,
-            exec: Option<Executor>,
-            fuel: u64,
-            per_cand: Vec<(usize, CandidateTraces)>,
-        }
-
-        // Group candidate indices by executor slot. Candidates are created
-        // repo by repo, so each group is a contiguous, ordered slice of the
-        // serial execution order.
-        let executors = std::mem::take(&mut self.executors);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); executors.len()];
-        for (ci, sc) in self.candidates.iter().enumerate() {
-            groups[sc.slot].push(ci);
-        }
-
-        let packages = &self.engine.packages;
-        let mut slots: Vec<Option<Executor>> = Vec::with_capacity(executors.len());
-        let mut jobs: Vec<Job> = Vec::new();
-        for (slot, (exec, cands)) in executors.into_iter().zip(groups).enumerate() {
-            if cands.is_empty() {
-                slots.push(Some(exec));
-            } else if exec.install_closed(packages) {
-                for ci in cands {
-                    jobs.push(Job {
-                        slot,
-                        exec: exec.clone(),
-                        cands: vec![ci],
-                        owns_slot: false,
-                    });
-                }
-                slots.push(Some(exec));
-            } else {
-                jobs.push(Job {
-                    slot,
-                    exec,
-                    cands,
-                    owns_slot: true,
+        let (candidates, executors) = (&self.candidates, &self.executors);
+        let results =
+            self.engine
+                .pool
+                .run_ordered((0..candidates.len()).collect(), |_, ci: usize| {
+                    let sc = &candidates[ci];
+                    let exec = &executors[sc.slot];
+                    let mut fuel = 0u64;
+                    let mut traces = CandidateTraces::default();
+                    for input in inputs {
+                        let outcome = exec.run(&sc.candidate, input, packages);
+                        fuel += outcome.fuel_used;
+                        record_run(&mut traces, &outcome);
+                    }
+                    (fuel, traces)
                 });
-                slots.push(None);
-            }
-        }
-        // Longest-processing-time-first: start the biggest jobs early so no
-        // worker is left holding a large group at the tail. Stable, so ties
-        // keep their discovery order (merge order is index-based anyway).
-        jobs.sort_by_key(|j| std::cmp::Reverse(j.cands.len()));
-
-        let candidates = &self.candidates;
-        let results = self.engine.pool.run_ordered(jobs, |_, job| {
-            let Job {
-                slot,
-                mut exec,
-                cands,
-                owns_slot,
-            } = job;
-            let mut fuel = 0u64;
-            let mut per_cand = Vec::with_capacity(cands.len());
-            for ci in cands {
-                let mut traces = CandidateTraces::default();
-                for input in inputs {
-                    let outcome = exec.run(&candidates[ci].candidate, input, packages);
-                    fuel += outcome.fuel_used;
-                    record_run(&mut traces, &outcome);
-                }
-                per_cand.push((ci, traces));
-            }
-            JobOut {
-                slot,
-                exec: owns_slot.then_some(exec),
-                fuel,
-                per_cand,
-            }
-        });
-
-        let mut out = vec![CandidateTraces::default(); self.candidates.len()];
-        for result in results {
-            self.fuel_spent += result.fuel;
-            if let Some(exec) = result.exec {
-                slots[result.slot] = Some(exec);
-            }
-            for (ci, traces) in result.per_cand {
-                out[ci] = traces;
-            }
-        }
-        self.executors = slots
-            .into_iter()
-            .map(|exec| exec.expect("every executor slot restored"))
-            .collect();
-        for exec in &self.executors {
-            self.installs = self.installs.max(exec.installs);
-        }
-        out
+        self.fuel_spent += results.iter().map(|(fuel, _)| fuel).sum::<u64>();
+        results.into_iter().map(|(_, traces)| traces).collect()
     }
 
     /// Resolve a ranked function to `(candidate index, executor slot)`:
@@ -556,10 +417,15 @@ impl<'a> Session<'a> {
         if self.negatives.is_empty() {
             return self.rank_without_negatives();
         }
+        let documents = if method == Method::Kw {
+            self.kw_documents()
+        } else {
+            Vec::new()
+        };
         let ranked = rank_methods(
             method,
             &self.traces,
-            &self.documents,
+            &documents,
             &self.keyword,
             &self.engine.config.cover,
         );
@@ -589,6 +455,31 @@ impl<'a> Session<'a> {
                     intent: repo.intent_of(&sc.file),
                     quality: repo.quality_of(&sc.file).unwrap_or(Quality::Unrelated),
                 }
+            })
+            .collect()
+    }
+
+    /// Each candidate's KW document, aligned with `candidates`: its
+    /// repository's name and description, its file name, its entry label
+    /// and its file's source text. Only [`Method::Kw`] reads them.
+    fn kw_documents(&self) -> Vec<String> {
+        self.candidates
+            .iter()
+            .map(|sc| {
+                let repo = self.engine.corpus.repository(sc.repo);
+                let source = repo
+                    .files
+                    .iter()
+                    .find(|f| f.name == sc.file)
+                    .map_or("", |f| f.source.as_str());
+                format!(
+                    "{} {} {} {} {}",
+                    repo.name,
+                    repo.description,
+                    sc.file,
+                    sc.candidate.entry.label(),
+                    source,
+                )
             })
             .collect()
     }
@@ -641,12 +532,9 @@ impl<'a> Session<'a> {
         else {
             return false;
         };
-        let (trace, fuel_used) = probe_trace(
-            &mut self.executors[slot],
-            &self.candidates[ci].candidate,
-            input,
-            &self.engine.packages,
-        );
+        let exec = &self.executors[slot];
+        let (trace, fuel_used) =
+            probe_trace(exec, &self.candidates[ci].candidate, input, exec.fuel());
         self.fuel_spent += fuel_used;
         validator.accepts(&trace)
     }
@@ -666,8 +554,8 @@ impl<'a> Session<'a> {
     /// online-serving split. The pack snapshots the DNF-E, the candidate's
     /// entry point, the executor's complete program source (in file-id
     /// order, so every trace `SiteId` resolves identically at load time),
-    /// and the pip-index slice for dynamic installs, plus ranking metadata
-    /// and provenance.
+    /// and the pip index the snapshot was resolved over, plus ranking
+    /// metadata and provenance.
     ///
     /// Returns `None` for functions without a synthesized validator (KW/LR
     /// rankings) or whose candidate no longer resolves — the same cases

@@ -17,8 +17,8 @@
 //! * distractor fleets create the keyword ambiguities of Figure 12
 //!   ("SWIFT" the language vs. SWIFT messages; "DOI number") and the
 //!   keyword-bait that sinks the KW baseline;
-//! * a simulated pip index (`relib`, `checklib`) exercises the
-//!   execute-parse-install-rerun loop.
+//! * a simulated pip index (`relib`, `checklib`) exercises dependency
+//!   installation (§4.2).
 
 pub mod build;
 pub mod misc;

@@ -1,8 +1,8 @@
 //! More snippet emitters: shape/pool-based validators, bespoke parsers for
 //! structural types, invocation-variant wrappers, and distractor code.
 
-/// A validator delegating to the `relib` shape matcher (exercises the
-/// pip-install loop, §4.2).
+/// A validator delegating to the `relib` shape matcher (exercises
+/// dependency installation, §4.2).
 pub fn shape_validator(func: &str, shapes: &[&str], comment: &str) -> String {
     let list = shapes
         .iter()

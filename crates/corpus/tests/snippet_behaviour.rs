@@ -86,7 +86,7 @@ fn every_good_primary_snippet_accepts_positives_and_rejects_garbage() {
             .unwrap_or_else(|| panic!("{}: no candidates in {}", ty.slug, file.name))
             .clone();
 
-        let mut exec = Executor::new(program, &packages, FUEL);
+        let exec = Executor::new(program, &packages, FUEL);
         // Positives must be accepted.
         let positives = ty.examples(&mut rng, 8);
         let mut accepted = 0;
@@ -149,7 +149,7 @@ fn sloppy_upc_snippet_accepts_isbn13() {
         .find(|c| matches!(c.entry, EntryPoint::Function { .. }))
         .unwrap()
         .clone();
-    let mut exec = Executor::new(program, &packages, FUEL);
+    let exec = Executor::new(program, &packages, FUEL);
     // A valid UPC passes...
     let upc = exec.run(&cand, "036000291452", &packages);
     assert!(accepts(&upc));
@@ -221,7 +221,7 @@ fn wrapped_variants_execute_equivalently() {
                 if file.source.contains("classify_value(value)") {
                     continue;
                 }
-                let mut exec = Executor::new(program.clone(), &packages, FUEL);
+                let exec = Executor::new(program.clone(), &packages, FUEL);
                 for p in &positives {
                     let out = exec.run(&cand, p, &packages);
                     assert!(accepts(&out), "{:?} rejected positive {p}", cand.entry);

@@ -1,10 +1,10 @@
-//! Traced execution of candidate functions, including the
-//! execute-parse-install-rerun dependency loop of §4.2.
+//! Traced execution of candidate functions, with every dependency of
+//! §4.2 installed when the executor is built.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use autotype_lang::ast::{Expr, Module, Stmt, Target};
+use autotype_lang::ast::{any_expr, Expr, Module, Stmt, Target};
 use autotype_lang::interp::{Interp, Io, Program};
 use autotype_lang::trace::Trace;
 use autotype_lang::value::Value;
@@ -13,9 +13,8 @@ use autotype_lang::PyError;
 use crate::analyze::{Candidate, EntryPoint};
 
 /// The simulated package index (`pip`): importable module name → PyLite
-/// source. Missing imports raise `ImportError`; the harness parses the
-/// message and "installs" the package, exactly like AutoType's loop over
-/// `requirements.txt` and exception messages.
+/// source. [`Executor::new`] installs every package a program imports;
+/// an import the index cannot satisfy raises `ImportError` when it runs.
 #[derive(Debug, Clone, Default)]
 pub struct PackageIndex {
     packages: BTreeMap<String, String>,
@@ -35,8 +34,8 @@ impl PackageIndex {
     }
 
     /// Iterate over `(name, source)` pairs in name order — the serializable
-    /// view a detector pack snapshots so dynamic installs replay identically
-    /// at load time.
+    /// view a detector pack snapshots and resolves its program over at load
+    /// time.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.packages.iter().map(|(n, s)| (n.as_str(), s.as_str()))
     }
@@ -60,8 +59,6 @@ pub struct RunOutcome {
     pub result: Result<Value, PyError>,
     /// Deterministic execution cost (stand-in for wall-clock).
     pub fuel_used: u64,
-    /// Number of install-loop iterations that were needed.
-    pub installs: usize,
     /// Harvested intermediate values (name → rendered atomic value) for
     /// semantic-transformation mining (§7.1, Appendix B).
     pub harvest: Vec<(String, String)>,
@@ -92,39 +89,42 @@ impl RunOutcome {
 
 /// Executes candidates against a repository program.
 ///
-/// Cloning is cheap — the program's parsed files sit behind `Arc` — so the
-/// parallel trace engine can hand each worker its own executor while sharing
-/// every AST (parse once, execute many).
+/// An executor never changes after it is built: every import its program
+/// could ever execute is resolved up front, so runs take `&self` and any
+/// number of threads can share one executor while sharing every AST
+/// (parse once, execute many).
 #[derive(Debug, Clone)]
 pub struct Executor {
-    /// The repository program, with statically-resolvable dependencies
-    /// already installed.
+    /// The repository program, with every resolvable dependency installed.
     program: Program,
     /// `open(...)` targets of each program file (see [`open_targets`]),
     /// indexed by file id and kept in step with `program.files`.
     open_targets: Vec<Vec<String>>,
     fuel: u64,
+    /// Packages installed when the executor was built.
     pub installs: usize,
 }
 
-/// Maximum dynamic install-loop iterations ("this process may loop for
-/// multiple times, each time with a different exception").
-const MAX_INSTALL_ROUNDS: usize = 6;
-
 impl Executor {
-    /// Build an executor for a repository: resolves `import` statements
-    /// against the package index up front (the `requirements.txt` path),
-    /// leaving the dynamic loop for imports only discoverable at run time.
+    /// Build an executor for a repository: installs, transitively, every
+    /// package from the index that an `import` anywhere in the program
+    /// names — at the top level or inside a function, method or block.
+    /// PyLite's only import form is a static `import NAME`, so this is
+    /// every module a run could ever ask for, and §4.2's execute, parse
+    /// the `ImportError`, install and rerun loop has nothing left to find.
+    ///
+    /// Installed files are appended in discovery order, so resolving a
+    /// program that is already closed (a pack snapshot) adds nothing and
+    /// moves no file id.
     pub fn new(mut program: Program, packages: &PackageIndex, fuel: u64) -> Executor {
         let mut installs = 0;
-        // Transitively install statically-visible imports.
         let mut changed = true;
         while changed {
             changed = false;
             let wanted: Vec<String> = program
                 .files
                 .iter()
-                .flat_map(|f| f.module.imports().into_iter().map(|s| s.to_string()))
+                .flat_map(|f| f.module.all_imports().into_iter().map(|s| s.to_string()))
                 .collect();
             for module in wanted {
                 if module != "sys" && program.file_id(&module).is_none() {
@@ -140,15 +140,10 @@ impl Executor {
         Executor::from_snapshot(program, fuel, installs)
     }
 
-    /// Rehydrate an executor from a serialized snapshot **without**
-    /// re-running static dependency resolution.
-    ///
-    /// `Executor::new` installs statically-visible imports up front, which
-    /// can append files to the program; a deserialized detector pack must
-    /// instead reproduce the exact file list (and therefore every file id
-    /// inside every trace `SiteId`) that existed when the pack was written.
-    /// The snapshot is that post-resolution file list, so re-resolving here
-    /// would at best be a no-op and at worst shift file ids.
+    /// Rehydrate an executor from a program snapshot without resolving
+    /// its imports. Kept for perfbench's probe replay, which rebuilds pack
+    /// executors from their public fields; everything else goes through
+    /// [`Executor::new`].
     pub fn from_snapshot(program: Program, fuel: u64, installs: usize) -> Executor {
         let open_targets = program
             .files
@@ -167,25 +162,15 @@ impl Executor {
         &self.program
     }
 
-    /// The per-run fuel budget this executor charges each probe.
+    /// The per-run fuel budget this executor charges each run.
     pub fn fuel(&self) -> u64 {
         self.fuel
     }
 
-    /// Override the per-run fuel budget (per-request fuel ceilings on the
-    /// serve path). Lowering fuel can only change a verdict by exhausting
-    /// earlier; it never changes which sites a completed run visits.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.fuel = fuel;
-    }
-
-    /// Roll the executor back to a snapshot taken before one or more runs:
-    /// a run only ever mutates an executor by *appending* dynamically
-    /// installed package files (and bumping `installs`), so truncating the
-    /// file list restores the exact pre-run program — every original file
-    /// id, and therefore every trace `SiteId`, is untouched. This is what
-    /// lets a long-lived prober reuse one executor across probes instead of
-    /// cloning per probe: reset, run, reset, run.
+    /// Truncate the program to its first `files` files and set `installs`.
+    /// Runs never change an executor, so this is a no-op on one that was
+    /// never truncated; it is kept for perfbench's probe replay, which
+    /// times it.
     pub fn reset_snapshot(&mut self, files: usize, installs: usize) {
         debug_assert!(files <= self.program.files.len());
         self.program.files.truncate(files);
@@ -193,73 +178,22 @@ impl Executor {
         self.installs = installs;
     }
 
-    /// Whether no run of any candidate can ever mutate this executor by
-    /// dynamically installing a package — i.e. every `import` appearing
-    /// anywhere in the program (including inside function bodies) is either
-    /// already satisfied or not available in the index. Install-closed
-    /// executors can be cloned and run concurrently with bit-identical file
-    /// ids; executors that may still install must evolve serially so the
-    /// order in which files are appended stays deterministic.
-    pub fn install_closed(&self, packages: &PackageIndex) -> bool {
-        self.program.files.iter().all(|f| {
-            f.module.all_imports().iter().all(|module| {
-                *module == "sys"
-                    || self.program.file_id(module).is_some()
-                    || packages.get(module).is_none()
-            })
-        })
-    }
-
     /// Run a candidate on one input string, tracing the execution and
-    /// harvesting its values for §7.1. Applies the dynamic install loop when
-    /// an `ImportError` names a package that exists in the index.
-    pub fn run(
-        &mut self,
-        candidate: &Candidate,
-        input: &str,
-        packages: &PackageIndex,
-    ) -> RunOutcome {
-        self.run_installing(candidate, input, packages, true)
+    /// harvesting its values for §7.1. `_packages` is unused — every
+    /// dependency was installed at build — and kept for perfbench's
+    /// replay, which passes it.
+    pub fn run(&self, candidate: &Candidate, input: &str, _packages: &PackageIndex) -> RunOutcome {
+        self.run_with(candidate, input, self.fuel, true)
     }
 
-    /// [`Executor::run`], with the §7.1 harvest only when `with_harvest`
-    /// is set (a probe discards it, so [`probe_trace`] skips it).
-    fn run_installing(
-        &mut self,
-        candidate: &Candidate,
-        input: &str,
-        packages: &PackageIndex,
-        with_harvest: bool,
-    ) -> RunOutcome {
-        for round in 0..MAX_INSTALL_ROUNDS {
-            let outcome = self.run_once(candidate, input, round, with_harvest);
-            if let Err(e) = &outcome.result {
-                if e.kind == "ImportError" {
-                    if let Some(module) = e.message.strip_prefix("No module named ") {
-                        let module = module.trim().to_string();
-                        if self.program.file_id(&module).is_none() {
-                            if let Some(source) = packages.get(&module) {
-                                if let Ok(id) = self.program.add_file(&module, source) {
-                                    let module = &self.program.file(id).module;
-                                    self.open_targets.push(open_targets(module));
-                                    self.installs += 1;
-                                    continue; // rerun with the new package
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            return outcome;
-        }
-        self.run_once(candidate, input, MAX_INSTALL_ROUNDS, with_harvest)
-    }
-
-    fn run_once(
+    /// One run under `fuel`, with the §7.1 harvest only when
+    /// `with_harvest` is set (a probe discards it, so [`probe_trace`]
+    /// skips it).
+    fn run_with(
         &self,
         candidate: &Candidate,
         input: &str,
-        installs: usize,
+        fuel: u64,
         with_harvest: bool,
     ) -> RunOutcome {
         let file = candidate.file;
@@ -282,7 +216,7 @@ impl Executor {
             &self.program
         };
 
-        let mut interp = Interp::with_options(program, io, self.fuel);
+        let mut interp = Interp::with_options(program, io, fuel);
         let result = match &candidate.entry {
             EntryPoint::Function { name }
             | EntryPoint::ArgvFunction { name }
@@ -327,7 +261,6 @@ impl Executor {
             trace,
             result,
             fuel_used,
-            installs,
             harvest,
         }
     }
@@ -335,7 +268,8 @@ impl Executor {
 
 /// Run a candidate on one input and return the featurized trace augmented
 /// with the run's [black-box literal](RunOutcome::black_box_literal), plus
-/// the fuel the run burned.
+/// the fuel the run burned. `fuel` is the run's budget, which may be
+/// lower than the executor's own (a per-request ceiling).
 ///
 /// This is the exact trace shape `SynthesizedValidator` clauses are written
 /// against (validators synthesized from the RET baseline's black-box view
@@ -343,12 +277,12 @@ impl Executor {
 /// session's validate path and the pack validator so the two can never
 /// drift.
 pub fn probe_trace(
-    exec: &mut Executor,
+    exec: &Executor,
     candidate: &Candidate,
     input: &str,
-    packages: &PackageIndex,
+    fuel: u64,
 ) -> (std::collections::BTreeSet<crate::Literal>, u64) {
-    let outcome = exec.run_installing(candidate, input, packages, false);
+    let outcome = exec.run_with(candidate, input, fuel, false);
     let mut trace = crate::featurize(&outcome.trace);
     trace.insert(outcome.black_box_literal());
     (trace, outcome.fuel_used)
@@ -399,66 +333,18 @@ fn harvest_value(name: &str, value: &Value, out: &mut Vec<(String, String)>) {
 /// files the harness must fill with the input (variant 6). An executor
 /// walks each file once, when the file joins its program.
 fn open_targets(module: &Module) -> Vec<String> {
-    let mut names = Vec::new();
-    collect_open_targets(&module.body, &mut names);
-    names
-}
-
-fn collect_open_targets(body: &[Stmt], names: &mut Vec<String>) {
-    fn walk_expr(e: &Expr, names: &mut Vec<String>) {
+    let mut names: Vec<String> = Vec::new();
+    any_expr(&module.body, &mut |e| {
         if let Expr::Call { callee, args, .. } = e {
-            if matches!(callee.as_ref(), Expr::Name(n) if n.id == "open") {
-                if let Some(Expr::Str(path)) = args.first() {
-                    if !names.iter().any(|n| n.as_str() == path.as_ref()) {
-                        names.push(path.to_string());
-                    }
+            if let (Expr::Name(n), Some(Expr::Str(path))) = (callee.as_ref(), args.first()) {
+                if n.id == "open" && !names.iter().any(|n| n.as_str() == path.as_ref()) {
+                    names.push(path.to_string());
                 }
             }
-            for a in args {
-                walk_expr(a, names);
-            }
-            walk_expr(callee, names);
         }
-    }
-    fn walk(s: &Stmt, names: &mut Vec<String>) {
-        match s {
-            Stmt::Expr(e) | Stmt::Assign { value: e, .. } | Stmt::AugAssign { value: e, .. } => {
-                walk_expr(e, names)
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk_expr(cond, names);
-                then_body.iter().for_each(|s| walk(s, names));
-                else_body.iter().for_each(|s| walk(s, names));
-            }
-            Stmt::While { cond, body, .. } => {
-                walk_expr(cond, names);
-                body.iter().for_each(|s| walk(s, names));
-            }
-            Stmt::For { iter, body, .. } => {
-                walk_expr(iter, names);
-                body.iter().for_each(|s| walk(s, names));
-            }
-            Stmt::Return { value: Some(v), .. } => walk_expr(v, names),
-            Stmt::Try { body, handlers, .. } => {
-                body.iter().for_each(|s| walk(s, names));
-                for h in handlers {
-                    h.body.iter().for_each(|s| walk(s, names));
-                }
-            }
-            Stmt::FuncDef(f, _) => f.body.iter().for_each(|s| walk(s, names)),
-            Stmt::ClassDef(c, _) => c
-                .methods
-                .iter()
-                .for_each(|m| m.body.iter().for_each(|s| walk(s, names))),
-            _ => {}
-        }
-    }
-    body.iter().for_each(|s| walk(s, names));
+        false
+    });
+    names
 }
 
 /// Replace the first module-level string-constant assignment to `variable`
@@ -509,7 +395,7 @@ mod tests {
         let program =
             program_with("def f(s):\n    if len(s) > 3:\n        return True\n    return False\n");
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "abcdef", &PackageIndex::new());
         assert!(out.completed());
         assert!(!out.trace.events.is_empty());
@@ -534,7 +420,7 @@ class Card:
         let program = program_with(src);
         let cand = first_candidate(&program);
         assert!(matches!(cand.entry, EntryPoint::CtorThenMethod { .. }));
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "4111111111111111", &PackageIndex::new());
         assert!(out.completed());
         // The returned `self` exposes brand for transformation harvesting.
@@ -549,7 +435,7 @@ class Card:
         let argv_src = "import sys\n\ndef main():\n    s = sys.argv[0]\n    return len(s)\n";
         let program = program_with(argv_src);
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "hello", &PackageIndex::new());
         assert!(out.completed());
         assert!(out.harvest.iter().any(|(_, v)| v == "5"));
@@ -557,7 +443,7 @@ class Card:
         let stdin_src = "def main():\n    s = input()\n    return s.upper()\n";
         let program = program_with(stdin_src);
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "abc", &PackageIndex::new());
         assert!(out.harvest.iter().any(|(_, v)| v == "ABC"));
     }
@@ -567,7 +453,7 @@ class Card:
         let src = "def main():\n    fp = open('data.txt')\n    s = fp.read()\n    return len(s)\n";
         let program = program_with(src);
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "12345678", &PackageIndex::new());
         assert!(out.completed());
         assert!(out.harvest.iter().any(|(_, v)| v == "8"));
@@ -579,7 +465,7 @@ class Card:
         let program = program_with(src);
         let cand = first_candidate(&program);
         assert!(matches!(cand.entry, EntryPoint::ScriptConstant { .. }));
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "12345", &PackageIndex::new());
         assert!(out.completed());
         assert!(out.harvest.iter().any(|(k, v)| k == "result" && v == "5"));
@@ -592,7 +478,7 @@ class Card:
         let src = "import luhnlib\n\ndef f(s):\n    return luhnlib.luhn_sum(s)\n";
         let program = program_with(src);
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &packages, FUEL);
+        let exec = Executor::new(program, &packages, FUEL);
         assert_eq!(exec.installs, 1);
         let out = exec.run(&cand, "123", &packages);
         assert!(out.completed());
@@ -604,7 +490,7 @@ class Card:
         let src = "import nosuchpkg\n\ndef f(s):\n    return s\n";
         let program = program_with(src);
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "x", &PackageIndex::new());
         assert!(!out.completed());
         assert!(out.trace.has_exception("ImportError"));
@@ -628,7 +514,7 @@ def f(s):
             .find(|c| matches!(&c.entry, EntryPoint::Function { name } if name == "f"))
             .unwrap()
             .clone();
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&f, "123", &PackageIndex::new());
         // The branch inside helper (line 3) must appear in f's trace.
         assert!(out
@@ -642,33 +528,47 @@ def f(s):
     fn exceptions_are_part_of_the_trace() {
         let program = program_with("def f(s):\n    return int(s)\n");
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let out = exec.run(&cand, "not-a-number", &PackageIndex::new());
         assert!(!out.completed());
         assert!(out.trace.has_exception("ValueError"));
     }
 
     #[test]
-    fn install_closed_tracks_remaining_installable_imports() {
+    fn function_body_imports_install_at_build() {
         let mut packages = PackageIndex::new();
-        packages.insert("latelib", "def f():\n    return 1\n");
-        // The import is buried inside a function body: invisible to the
-        // static top-level resolution, but the deep probe must see it.
+        packages.insert(
+            "latelib",
+            "def f():\n    import deeplib\n    return deeplib.g()\n",
+        );
+        packages.insert("deeplib", "def g():\n    return 7\n");
+        // Both imports sit inside function bodies, one of them inside an
+        // installed package: the build installs both, in discovery order.
         let src = "def f(s):\n    import latelib\n    return latelib.f()\n";
         let program = program_with(src);
-        let mut exec = Executor::new(program, &packages, FUEL);
-        assert!(!exec.install_closed(&packages));
-
-        // Importing something that is not in the index cannot install.
-        let program = program_with("def f(s):\n    import nosuchpkg\n    return s\n");
-        let exec2 = Executor::new(program, &packages, FUEL);
-        assert!(exec2.install_closed(&packages));
-
-        // After the dynamic install round, the executor becomes closed.
-        let cand = first_candidate(exec.program());
+        let cand = first_candidate(&program);
+        let exec = Executor::new(program, &packages, FUEL);
+        assert_eq!(exec.installs, 2);
+        let names: Vec<&str> = exec.program.files.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["snippet", "latelib", "deeplib"]);
         let out = exec.run(&cand, "x", &packages);
         assert!(out.completed());
-        assert!(exec.install_closed(&packages));
+        assert_eq!(out.harvest, vec![("return".to_string(), "7".to_string())]);
+
+        // Resolving a closed program again installs nothing.
+        let again = Executor::new(exec.program.clone(), &packages, FUEL);
+        assert_eq!(again.installs, 0);
+        assert_eq!(again.program.files.len(), 3);
+
+        // An import the index cannot satisfy still fails when it runs.
+        let program = program_with("def f(s):\n    import nosuchpkg\n    return s\n");
+        let cand = first_candidate(&program);
+        let exec = Executor::new(program, &packages, FUEL);
+        assert_eq!(exec.installs, 0);
+        assert!(exec
+            .run(&cand, "x", &packages)
+            .trace
+            .has_exception("ImportError"));
     }
 
     #[test]
@@ -732,7 +632,7 @@ def check(s):
             .into_iter()
             .find(|c| matches!(&c.entry, EntryPoint::Function { name } if name == "check"))
             .unwrap();
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         // Fuel and literals recorded before definitions and string literals
         // were shared with the AST; sharing must not move either.
         let pinned = [
@@ -770,7 +670,7 @@ def check(s):
             ),
         ];
         for (input, fuel, literals) in pinned {
-            let (trace, probe_fuel) = probe_trace(&mut exec, &check, input, &PackageIndex::new());
+            let (trace, probe_fuel) = probe_trace(&exec, &check, input, FUEL);
             assert_eq!(probe_fuel, fuel, "probe fuel on {input:?}");
             assert_eq!(
                 trace,
@@ -786,9 +686,9 @@ def check(s):
     fn probes_skip_the_harvest_and_runs_keep_it() {
         let program = program_with("def f(s):\n    return len(s)\n");
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
-        let (_, probe_fuel) = probe_trace(&mut exec, &cand, "abc", &PackageIndex::new());
-        let probe = exec.run_installing(&cand, "abc", &PackageIndex::new(), false);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let (_, probe_fuel) = probe_trace(&exec, &cand, "abc", FUEL);
+        let probe = exec.run_with(&cand, "abc", FUEL, false);
         assert!(probe.harvest.is_empty());
         let run = exec.run(&cand, "abc", &PackageIndex::new());
         assert_eq!(run.harvest, vec![("return".to_string(), "3".to_string())]);
@@ -797,16 +697,7 @@ def check(s):
     }
 
     #[test]
-    fn cached_open_targets_match_a_fresh_walk() {
-        fn assert_fresh(exec: &Executor) {
-            let fresh: Vec<Vec<String>> = exec
-                .program
-                .files
-                .iter()
-                .map(|f| open_targets(&f.module))
-                .collect();
-            assert_eq!(exec.open_targets, fresh);
-        }
+    fn open_targets_cover_every_installed_file() {
         let mut packages = PackageIndex::new();
         packages.insert(
             "staticlib",
@@ -814,30 +705,35 @@ def check(s):
         );
         packages.insert(
             "latelib",
-            "def load():\n    fp = open('late.txt')\n    return fp.read()\n",
+            "def load():\n    return open('late.txt').read()\n",
         );
         let src = "import staticlib\n\ndef main():\n    import latelib\n    fp = open('data.txt')\n    return fp.read() + latelib.load()\n";
-        let program = program_with(src);
-        let cand = first_candidate(&program);
-
-        let mut exec = Executor::new(program.clone(), &packages, FUEL);
-        assert_eq!(exec.program.files.len(), 2, "static install");
-        assert_fresh(&exec);
-        assert_eq!(exec.open_targets[0], vec!["data.txt".to_string()]);
-
+        let exec = Executor::new(program_with(src), &packages, FUEL);
+        let targets = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            exec.open_targets,
+            [
+                targets(&["data.txt"]),
+                targets(&["static.txt"]),
+                targets(&["late.txt"])
+            ]
+        );
         let snapshot = Executor::from_snapshot(exec.program.clone(), FUEL, exec.installs);
-        assert_fresh(&snapshot);
+        assert_eq!(snapshot.open_targets, exec.open_targets);
+    }
 
-        // Only the candidate's own file gets its targets filled, so the
-        // run itself fails inside `latelib`; the install still happened.
-        exec.run(&cand, "xy", &packages);
-        assert_eq!(exec.program.files.len(), 3, "dynamic install");
-        assert_fresh(&exec);
-        assert_eq!(exec.open_targets[2], vec!["late.txt".to_string()]);
-
-        exec.reset_snapshot(2, 1);
-        assert_fresh(&exec);
-        assert_eq!(exec.open_targets, snapshot.open_targets);
+    #[test]
+    fn chained_open_reads_the_input() {
+        let program = program_with("def f():\n    return open('in.txt').read()\n");
+        let cand = first_candidate(&program);
+        assert!(matches!(cand.entry, EntryPoint::FileFunction { .. }));
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let out = exec.run(&cand, "978-3-16", &PackageIndex::new());
+        assert!(out.completed(), "{:?}", out.result);
+        assert_eq!(
+            out.harvest,
+            vec![("return".to_string(), "978-3-16".to_string())]
+        );
     }
 
     #[test]
@@ -846,7 +742,7 @@ def check(s):
             "def f(s):\n    total = 0\n    for c in s:\n        total += 1\n    return total\n",
         );
         let cand = first_candidate(&program);
-        let mut exec = Executor::new(program, &PackageIndex::new(), FUEL);
+        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
         let short = exec.run(&cand, "ab", &PackageIndex::new()).fuel_used;
         let long = exec
             .run(&cand, "abcdefghijklmnop", &PackageIndex::new())

@@ -8,8 +8,8 @@
 //!    invocation chains (the paper's four uncoverable types).
 //! 2. [`harness`] executes candidates under instrumentation, feeding the
 //!    input through the right channel (argument, `sys.argv`, `input()`,
-//!    virtual file, or rewritten constant) and running the
-//!    execute-parse-install-rerun dependency loop of §4.2.
+//!    virtual file, or rewritten constant), with every dependency of §4.2
+//!    installed when the executor is built.
 //! 3. [`featurize`](crate::featurize::featurize) reduces each trace to the set of binary literals of
 //!    §5.2, ready for `autotype-dnf`.
 //! 4. [`pool`] shards batches of jobs across a crew of OS threads with a

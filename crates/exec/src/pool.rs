@@ -15,8 +15,8 @@
 //! runs one batch.
 //!
 //! Determinism contract: if each job is a pure function of its input (the
-//! engine guarantees this by giving every job exclusive ownership of its
-//! executor), the merged output is bit-identical for every worker count,
+//! engine guarantees this: an executor never changes after it is built,
+//! so jobs share it), the merged output is bit-identical for every worker count,
 //! including `workers == 1`, which does not spawn any threads at all.
 
 use std::any::Any;
@@ -564,8 +564,8 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_is_deterministic_under_parallelism() {
-        // Each job owns a clone of an executor whose candidate loops
-        // forever; every clone must burn exactly the same fuel.
+        // Every job shares one executor whose candidate loops forever;
+        // every run must burn exactly the same fuel.
         let mut program = Program::new();
         program
             .add_file(
@@ -581,9 +581,8 @@ mod tests {
         let mut burns: Vec<u64> = Vec::new();
         for workers in [1, 4] {
             let pool = ExecPool::new(workers);
-            let jobs: Vec<Executor> = (0..8).map(|_| exec.clone()).collect();
-            let fuel: Vec<u64> = pool.run_ordered(jobs, |_, mut e| {
-                let out = e.run(&cand, "x", &packages);
+            let fuel: Vec<u64> = pool.run_ordered((0..8).collect(), |_, _: u32| {
+                let out = exec.run(&cand, "x", &packages);
                 assert!(out.trace.has_exception("__FuelExhausted__"));
                 out.fuel_used
             });

@@ -268,21 +268,10 @@ impl Module {
         })
     }
 
-    /// Modules imported anywhere at the top level.
-    pub fn imports(&self) -> Vec<&str> {
-        self.body
-            .iter()
-            .filter_map(|s| match s {
-                Stmt::Import { module, .. } => Some(module.id.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Modules imported *anywhere* in the module, including inside function
-    /// bodies, class methods, and nested control flow. Used to decide
-    /// whether executing the module could ever trigger a dynamic package
-    /// install (the execute-parse-install-rerun loop of §4.2).
+    /// bodies, class methods, and nested control flow: every module a run
+    /// could ever import, which an executor installs when it is built
+    /// (§4.2).
     pub fn all_imports(&self) -> Vec<&str> {
         fn walk<'a>(body: &'a [Stmt], out: &mut Vec<&'a str>) {
             for s in body {
@@ -328,4 +317,78 @@ impl Module {
             )
         })
     }
+}
+
+/// Whether `pred` holds for any expression in `body`: every statement's
+/// expressions and their subexpressions, in source order, descending into
+/// blocks, `except` handlers, and `def` and method bodies. Stops at the
+/// first hit; a predicate that always answers `false` visits every
+/// expression.
+pub fn any_expr(body: &[Stmt], pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+    fn walk_expr(e: &Expr, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        if pred(e) {
+            return true;
+        }
+        match e {
+            Expr::Bin { left, right, .. }
+            | Expr::Cmp { left, right, .. }
+            | Expr::BoolOp { left, right, .. } => walk_expr(left, pred) || walk_expr(right, pred),
+            Expr::Not(inner) | Expr::Neg(inner, _) => walk_expr(inner, pred),
+            Expr::Call { callee, args, .. } => {
+                walk_expr(callee, pred) || args.iter().any(|a| walk_expr(a, pred))
+            }
+            Expr::Attr { object, .. } => walk_expr(object, pred),
+            Expr::Index { object, index, .. } => walk_expr(object, pred) || walk_expr(index, pred),
+            Expr::Slice {
+                object, low, high, ..
+            } => {
+                walk_expr(object, pred)
+                    || low.as_ref().is_some_and(|l| walk_expr(l, pred))
+                    || high.as_ref().is_some_and(|h| walk_expr(h, pred))
+            }
+            Expr::List(items) => items.iter().any(|i| walk_expr(i, pred)),
+            Expr::Dict(items) => items
+                .iter()
+                .any(|(k, v)| walk_expr(k, pred) || walk_expr(v, pred)),
+            _ => false,
+        }
+    }
+    fn walk_stmt(s: &Stmt, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        match s {
+            Stmt::Expr(e) => walk_expr(e, pred),
+            Stmt::Assign { value, .. } => walk_expr(value, pred),
+            Stmt::AugAssign { value, .. } => walk_expr(value, pred),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                ..
+            } => {
+                walk_expr(cond, pred)
+                    || then_body.iter().any(|s| walk_stmt(s, pred))
+                    || else_body.iter().any(|s| walk_stmt(s, pred))
+            }
+            Stmt::While { cond, body, .. } => {
+                walk_expr(cond, pred) || body.iter().any(|s| walk_stmt(s, pred))
+            }
+            Stmt::For { iter, body, .. } => {
+                walk_expr(iter, pred) || body.iter().any(|s| walk_stmt(s, pred))
+            }
+            Stmt::Return { value, .. } => value.as_ref().is_some_and(|v| walk_expr(v, pred)),
+            Stmt::Raise { message, .. } => message.as_ref().is_some_and(|m| walk_expr(m, pred)),
+            Stmt::Try { body, handlers, .. } => {
+                body.iter().any(|s| walk_stmt(s, pred))
+                    || handlers
+                        .iter()
+                        .any(|h| h.body.iter().any(|s| walk_stmt(s, pred)))
+            }
+            Stmt::FuncDef(f, _) => f.body.iter().any(|s| walk_stmt(s, pred)),
+            Stmt::ClassDef(c, _) => c
+                .methods
+                .iter()
+                .any(|m| m.body.iter().any(|s| walk_stmt(s, pred))),
+            _ => false,
+        }
+    }
+    body.iter().any(|s| walk_stmt(s, pred))
 }

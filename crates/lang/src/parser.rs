@@ -858,7 +858,7 @@ mod tests {
     #[test]
     fn parses_imports() {
         let m = parse_ok("import sys\nimport checksum\n");
-        assert_eq!(m.imports(), vec!["sys", "checksum"]);
+        assert_eq!(m.all_imports(), vec!["sys", "checksum"]);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   program at export time, **in order**, so re-parsing reproduces the
 //!   exact file ids the literals reference,
 //! * the entry point and invocation variant,
-//! * the slice of the simulated pip index, so dynamic installs during a
-//!   probe replay identically,
+//! * the slice of the simulated pip index the snapshot was resolved over,
 //! * ranking metadata and provenance (score, explanation, repository,
 //!   mutation strategy) for observability.
 //!
@@ -34,12 +33,12 @@
 //!
 //! [`Pack::validator`] rehydrates a [`PackValidator`] — the one detector
 //! type, used in process (`Session::batch_validator`) and by the serve
-//! runtime alike: every probe runs on a probe executor rolled back to the
-//! pack snapshot, so it is a pure function of its input and verdicts are
-//! bit-identical to the in-process session validator at any concurrency.
+//! runtime alike: every probe runs on the validator's one executor, which
+//! never changes after it is built, so a probe is a pure function of its
+//! input and verdicts are bit-identical to the in-process session
+//! validator at any concurrency.
 
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use autotype_exec::{probe_trace, Candidate, EntryPoint, Executor, Literal, PackageIndex};
 use autotype_lang::{Program, SiteId, ValueSummary};
@@ -147,7 +146,7 @@ pub struct Pack {
     pub explanation: String,
     /// Execution fuel per probe run.
     pub fuel: u64,
-    /// Install count of the snapshot executor (accounting continuity).
+    /// Packages the snapshot executor installed when it was built.
     pub installs: u64,
     /// File id of the candidate's module within `files`.
     pub candidate_file: u32,
@@ -157,7 +156,7 @@ pub struct Pack {
     /// order. Order is load-bearing — every `SiteId.file` in `dnf_e` indexes
     /// into it.
     pub files: Vec<(String, String)>,
-    /// The pip-index slice available for dynamic installs during probes.
+    /// The pip-index slice the snapshot is resolved over when it loads.
     pub packages: Vec<(String, String)>,
     /// The expanded DNF-E: disjunction of conjunctions of trace literals.
     pub dnf_e: Vec<Vec<Literal>>,
@@ -233,8 +232,10 @@ impl Pack {
     }
 
     /// Rehydrate the runtime validator: re-parse the program snapshot in
-    /// file-id order, rebuild the executor **without** re-running static
-    /// dependency resolution, and wrap the DNF-E.
+    /// file-id order, resolve its imports over the pack's own `packages`,
+    /// and wrap the DNF-E. Resolution only appends files, so no file id in
+    /// the DNF-E moves; an exported snapshot is already closed and gains
+    /// nothing.
     pub fn validator(&self) -> Result<PackValidator, PackError> {
         let mut program = Program::new();
         for (name, source) in &self.files {
@@ -257,16 +258,14 @@ impl Pack {
             pack_id: self.pack_id(),
             slug: self.slug.clone(),
             label: self.label.clone(),
-            packages,
             candidate: Candidate {
                 file: self.candidate_file,
                 entry: self.entry.clone(),
             },
-            exec: Executor::from_snapshot(program, self.fuel, self.installs as usize),
+            exec: Executor::new(program, &packages, self.fuel),
             validator: SynthesizedValidator {
                 dnf_e: self.dnf_e.clone(),
             },
-            spares: Mutex::new(Vec::new()),
         })
     }
 
@@ -484,25 +483,17 @@ fn read_literal(r: &mut Reader<'_>) -> Result<Literal, PackError> {
 /// instrumentation and checks `∧T(s) → DNF-E` (Algorithm 3), exactly like
 /// `Session::validate`.
 ///
-/// Thread-safe by construction: every probe runs on a probe slot, a clone
-/// of the snapshot executor that is rolled back to the pack snapshot
-/// afterwards, so each probe is a pure function of its input and dynamic
-/// installs never leak into the next one. The validator keeps its idle
-/// slots and leases one per probe, cloning the snapshot only when every
-/// slot is busy, so it holds at most as many slots as probes it ever ran
-/// at once.
+/// Thread-safe by construction: every probe runs on the one executor,
+/// which never changes after it is built, so each probe is a pure
+/// function of its input and any number of threads can probe at once.
 #[derive(Debug)]
 pub struct PackValidator {
     pack_id: String,
     slug: String,
     label: String,
-    packages: PackageIndex,
     candidate: Candidate,
     exec: Executor,
     validator: SynthesizedValidator,
-    /// Idle probe slots. Pushing and popping leave the list valid at every
-    /// step, so a poisoned lock is recovered rather than propagated.
-    spares: Mutex<Vec<ProbeExecutor>>,
 }
 
 impl PackValidator {
@@ -535,59 +526,21 @@ impl PackValidator {
         (probe.verdict, probe.fuel)
     }
 
-    /// The one probe path: lease an idle probe slot (or clone the snapshot
-    /// executor when none is idle), run with an optional per-probe fuel
-    /// ceiling (clamped to the pack's own budget), and return the slot.
+    /// The one probe path: run with an optional per-probe fuel ceiling,
+    /// clamped to the pack's own budget.
     pub fn probe(&self, input: &str, max_fuel: Option<u64>) -> Probe {
-        let spare = self.spares().pop();
-        let reused = spare.is_some();
-        let mut slot = spare.unwrap_or_else(|| self.probe_executor());
-        let (verdict, fuel) = self.accepts_with_fuel_in(&mut slot, input, max_fuel);
-        self.spares().push(slot);
+        let budget = self.exec.fuel();
+        let fuel = max_fuel.map_or(budget, |cap| cap.min(budget));
+        let (trace, fuel) = probe_trace(&self.exec, &self.candidate, input, fuel);
         Probe {
-            verdict,
+            verdict: self.validator.accepts(&trace),
             fuel,
-            reused,
         }
-    }
-
-    fn spares(&self) -> MutexGuard<'_, Vec<ProbeExecutor>> {
-        self.spares.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The per-probe fuel budget baked into the pack at export time.
     pub fn fuel_budget(&self) -> u64 {
         self.exec.fuel()
-    }
-
-    /// A fresh probe slot: one executor clone that
-    /// [`accepts_with_fuel_in`](Self::accepts_with_fuel_in) resets after
-    /// every probe instead of recloning.
-    fn probe_executor(&self) -> ProbeExecutor {
-        ProbeExecutor {
-            exec: self.exec.clone(),
-            base_files: self.exec.program().files.len(),
-            base_installs: self.exec.installs,
-        }
-    }
-
-    /// Run one probe on `slot`, which is rolled back to the pack snapshot
-    /// after the run — dynamic installs are undone, the fuel budget is
-    /// restored — so every probe sees the exact rehydrated state, whichever
-    /// slot it runs on.
-    fn accepts_with_fuel_in(
-        &self,
-        slot: &mut ProbeExecutor,
-        input: &str,
-        max_fuel: Option<u64>,
-    ) -> (bool, u64) {
-        let budget = self.exec.fuel();
-        slot.exec
-            .set_fuel(max_fuel.map_or(budget, |cap| cap.min(budget)));
-        let (trace, fuel) = probe_trace(&mut slot.exec, &self.candidate, input, &self.packages);
-        slot.exec
-            .reset_snapshot(slot.base_files, slot.base_installs);
-        (self.validator.accepts(&trace), fuel)
     }
 }
 
@@ -596,17 +549,6 @@ impl PackValidator {
 pub struct Probe {
     pub verdict: bool,
     pub fuel: u64,
-    /// The probe ran on an idle slot rather than a fresh snapshot clone.
-    pub reused: bool,
-}
-
-/// A reusable probe slot: the snapshot clone plus the rollback point
-/// [`PackValidator::accepts_with_fuel_in`] restores after each run.
-#[derive(Debug)]
-struct ProbeExecutor {
-    exec: Executor,
-    base_files: usize,
-    base_installs: usize,
 }
 
 /// Convenience: load a pack file and rehydrate its validator in one step.
@@ -732,64 +674,64 @@ mod tests {
         assert!(Pack::from_bytes(&bytes).is_err());
     }
 
-    #[test]
-    fn reused_executor_matches_clone_per_probe() {
-        let v = sample_pack().validator().expect("validator");
-        let mut slot = v.probe_executor();
-        for input in ["abcd", "", "abc", "x", "abcdef", "odd"] {
-            let cloned = v.accepts_with_fuel_in(&mut v.probe_executor(), input, None);
-            let reused = v.accepts_with_fuel_in(&mut slot, input, None);
-            assert_eq!(reused, cloned, "drift on {input:?}");
-            let leased = v.probe(input, None);
-            assert_eq!((leased.verdict, leased.fuel), cloned, "drift on {input:?}");
-        }
-    }
-
-    #[test]
-    fn probes_lease_idle_slots_and_survive_a_poisoned_lock() {
-        let v = sample_pack().validator().expect("validator");
-        assert!(!v.probe("abcd", None).reused, "the first probe clones");
-        assert!(v.probe("abcd", None).reused, "later probes reuse its slot");
-        assert_eq!(v.spares().len(), 1);
-        // A thread that panics while holding the spare list poisons it;
-        // every later probe must still run and reuse the slot.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = v.spares.lock();
-                panic!("poison the spare list");
-            })
-            .join()
-            .expect_err("the thread panicked");
-        });
-        assert!(v.spares.is_poisoned());
-        assert!(v.probe("abcd", None).reused);
-        assert!(v.accepts("abcd"));
-    }
-
-    #[test]
-    fn reused_executor_rolls_back_dynamic_installs() {
-        // The candidate imports `latelib` inside its body: invisible until
-        // run time, so every probe triggers the dynamic install loop. The
-        // reused slot must roll the install back after each probe and still
-        // answer identically to a fresh clone.
+    /// A pack whose candidate imports `latelib` inside its body.
+    fn late_import_pack() -> Pack {
         let source = "def f(s):\n    import latelib\n    if latelib.short(s):\n        return True\n    return False\n";
-        let pack = Pack {
+        Pack {
             files: vec![("mod".into(), source.into())],
             packages: vec![(
                 "latelib".into(),
                 "def short(s):\n    if len(s) < 3:\n        return True\n    return False\n".into(),
             )],
             entry: EntryPoint::Function { name: "f".into() },
+            dnf_e: vec![vec![Literal::Ret {
+                site: SiteId::new(u32::MAX, 0),
+                value: ValueSummary::Bool(true),
+            }]],
             ..sample_pack()
-        };
-        let v = pack.validator().expect("validator");
-        let mut slot = v.probe_executor();
-        for input in ["ab", "abcd", "", "abc"] {
-            let (cloned, cloned_fuel) = v.accepts_with_fuel(input);
-            let (reused, reused_fuel) = v.accepts_with_fuel_in(&mut slot, input, None);
-            assert_eq!(reused, cloned, "verdict drift on {input:?}");
-            assert_eq!(reused_fuel, cloned_fuel, "fuel drift on {input:?}");
         }
+    }
+
+    #[test]
+    fn function_body_import_resolves_when_the_pack_loads() {
+        let v = late_import_pack().validator().expect("validator");
+        let names: Vec<&str> = v
+            .exec
+            .program()
+            .files
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names, ["mod", "latelib"]);
+        assert!(v.accepts("ab"));
+        assert!(!v.accepts("abcd"));
+    }
+
+    #[test]
+    fn repeated_and_concurrent_probes_agree() {
+        let v = late_import_pack().validator().expect("validator");
+        let inputs = ["ab", "abcd", "", "abc", "x"];
+        let first: Vec<(bool, u64)> = inputs.iter().map(|i| v.accepts_with_fuel(i)).collect();
+        assert_eq!(first.iter().filter(|(verdict, _)| *verdict).count(), 3);
+        for _ in 0..3 {
+            let again: Vec<(bool, u64)> = inputs.iter().map(|i| v.accepts_with_fuel(i)).collect();
+            assert_eq!(again, first);
+        }
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        inputs
+                            .iter()
+                            .map(|i| v.accepts_with_fuel(i))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for t in threads {
+                assert_eq!(t.join().expect("probe thread"), first);
+            }
+        });
     }
 
     #[test]
@@ -809,11 +751,10 @@ mod tests {
             ..sample_pack()
         };
         let v = pack.validator().expect("validator");
-        let mut slot = v.probe_executor();
-        let first = v.accepts_with_fuel_in(&mut slot, "a", None);
-        assert!(first.0);
+        let first = v.probe("a", None);
+        assert!(first.verdict);
         for input in ["a", "b", "a", "cd"] {
-            assert_eq!(v.accepts_with_fuel_in(&mut slot, input, None), first);
+            assert_eq!(v.probe(input, None), first);
         }
     }
 
@@ -821,20 +762,16 @@ mod tests {
     fn fuel_ceiling_clamps_to_pack_budget_and_caps_runs() {
         let v = sample_pack().validator().expect("validator");
         assert_eq!(v.fuel_budget(), 10_000);
-        let mut slot = v.probe_executor();
         // A cap above the budget clamps down to the budget: same verdict,
         // same fuel as the uncapped probe.
-        let uncapped = v.accepts_with_fuel_in(&mut slot, "abcd", None);
-        assert_eq!(
-            v.accepts_with_fuel_in(&mut slot, "abcd", Some(u64::MAX)),
-            uncapped
-        );
+        let uncapped = v.probe("abcd", None);
+        assert_eq!(v.probe("abcd", Some(u64::MAX)), uncapped);
         // A starvation cap exhausts fuel: the probe cannot accept and burns
         // at most the cap. The cap must not leak into later probes.
-        let (verdict, fuel) = v.accepts_with_fuel_in(&mut slot, "abcd", Some(1));
+        let Probe { verdict, fuel } = v.probe("abcd", Some(1));
         assert!(!verdict, "starved probe cannot accept");
         assert!(fuel <= 1, "burned {fuel} with cap 1");
-        assert_eq!(v.accepts_with_fuel_in(&mut slot, "abcd", None), uncapped);
+        assert_eq!(v.probe("abcd", None), uncapped);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sharded exact-LRU verdict cache.
 //!
-//! Verdicts are pure functions of `(pack, value)`: a probe leases an
-//! executor that is rolled back to the pack snapshot afterwards, so a
+//! Verdicts are pure functions of `(pack, value)`: a probe runs on the
+//! pack's executor, which never changes after it is built, so a
 //! cached `bool` can never go stale while the pack set is fixed (the
 //! runtime is read-only; pack GC / hot-reload is a ROADMAP item). That
 //! purity is what makes caching *transparent*: a hit returns exactly what

@@ -34,8 +34,8 @@
 //! `max_connections` handler threads; when every handler is busy and the
 //! backlog is full, the acceptor sheds the connection inline with a 503
 //! (`autotype_connections_shed_total`) instead of spawning without bound.
-//! Request limits (body size, value count, read timeout) are enforced
-//! before any detection work runs; violations produce 4xx responses with a
+//! Request limits (line length, header count, body size, value count,
+//! read timeout) are enforced before any detection work runs; violations produce 4xx responses with a
 //! JSON error body. Graceful shutdown: a stop flag, a self-connect to
 //! unblock `accept`, a closed queue to retire idle handlers, and a bounded
 //! wait for in-flight connections.
@@ -50,6 +50,13 @@ use std::time::Duration;
 use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
 use crate::runtime::DetectorRuntime;
+
+/// Longest request line or header line read, line ending included, in
+/// bytes. A longer one is answered with 431 and the connection closes.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Most header lines read for one request; one more is answered with 431.
+const MAX_HEADERS: usize = 100;
 
 /// Tunables for the listener; the defaults suit a local deployment.
 #[derive(Debug, Clone)]
@@ -278,6 +285,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -336,6 +344,27 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Read one line, line ending included, of at most [`MAX_LINE`] bytes
+/// into `line`; empty at end of input. Bytes read before an error stay in
+/// `line`.
+fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>) -> std::io::Result<()> {
+    reader
+        .by_ref()
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', line)
+        .map(drop)
+}
+
+/// The text of a line from [`read_line_capped`]: 431 if it hit the cap
+/// before its line ending, 400 if it is not UTF-8.
+fn line_text(line: Vec<u8>) -> Result<String, ReadHalt> {
+    if line.len() == MAX_LINE && line.last() != Some(&b'\n') {
+        return Err(ReadHalt::Respond(Response::error(431, "line too long")));
+    }
+    String::from_utf8(line)
+        .map_err(|_| ReadHalt::Respond(Response::error(400, "request is not UTF-8")))
+}
+
 /// Parse one request: request line, headers, body. Returns the method,
 /// path, body, and whether the client wants the connection kept alive.
 fn read_request(
@@ -343,14 +372,14 @@ fn read_request(
     reader: &mut BufReader<TcpStream>,
     config: &ServerConfig,
 ) -> Result<(String, String, String, bool), ReadHalt> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Err(ReadHalt::Silent),
-        Ok(_) => {}
+    let mut raw = Vec::new();
+    match read_line_capped(reader, &mut raw) {
+        Ok(()) if raw.is_empty() => return Err(ReadHalt::Silent),
+        Ok(()) => {}
         Err(e) if is_timeout(&e) => {
             // No bytes yet → the connection idled out; partial line → the
             // client stalled mid-request.
-            return if line.is_empty() {
+            return if raw.is_empty() {
                 Err(ReadHalt::Silent)
             } else {
                 Err(ReadHalt::Respond(Response::error(408, "read timeout")))
@@ -363,6 +392,7 @@ fn read_request(
             )))
         }
     }
+    let line = line_text(raw)?;
     // The request is underway: switch to the (usually longer) in-request
     // read timeout for headers and body.
     let _ = stream.set_read_timeout(Some(config.read_timeout));
@@ -380,11 +410,14 @@ fn read_request(
     let mut keep_alive = version != "HTTP/1.0";
 
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return Err(ReadHalt::Respond(Response::error(400, "truncated headers"))),
-            Ok(_) => {}
+        let mut raw = Vec::new();
+        match read_line_capped(reader, &mut raw) {
+            Ok(()) if raw.is_empty() => {
+                return Err(ReadHalt::Respond(Response::error(400, "truncated headers")))
+            }
+            Ok(()) => {}
             Err(e) if is_timeout(&e) => {
                 return Err(ReadHalt::Respond(Response::error(408, "read timeout")))
             }
@@ -395,9 +428,14 @@ fn read_request(
                 )))
             }
         }
+        let header = line_text(raw)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(ReadHalt::Respond(Response::error(431, "too many headers")));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {

@@ -145,8 +145,8 @@ pub struct Metrics {
     /// eager `value × pack` sweep would have run but first-match-wins (or
     /// the column threshold math) proved dead.
     pub probes_saved: AtomicU64,
-    /// Uncached probes served by a leased (reset) executor vs. by a fresh
-    /// snapshot clone. Reuses dominating clones is the steady state.
+    /// Kept for perfbench, which reads them: probes share one executor per
+    /// pack, so nothing bumps these and `/metrics` does not export them.
     pub executors_reused: AtomicU64,
     pub executors_cloned: AtomicU64,
     /// Total interpreter fuel burned by uncached probes.
@@ -234,16 +234,6 @@ impl Metrics {
                 "autotype_probes_saved_total",
                 "Probe cells skipped by lazy tiered scheduling vs the eager matrix",
                 &self.probes_saved,
-            ),
-            (
-                "autotype_executors_reused_total",
-                "Uncached probes served by a leased (reset) executor",
-                &self.executors_reused,
-            ),
-            (
-                "autotype_executors_cloned_total",
-                "Uncached probes that had to clone a fresh snapshot executor",
-                &self.executors_cloned,
             ),
             (
                 "autotype_fuel_spent_total",

@@ -1,6 +1,6 @@
 //! The read-only detection runtime: a fixed, priority-ordered set of
 //! rehydrated detector packs, a shared execution pool, a verdict cache,
-//! leased probe executors, and live metrics.
+//! and live metrics.
 //!
 //! ## Semantics
 //!
@@ -8,12 +8,12 @@
 //! every `detect_*` method goes through
 //! [`detect_columns`](DetectorRuntime::detect_columns), which hands
 //! [`autotype_tables::detect_columns`] a probe that consults the cache and
-//! leased executors. Packs are scanned in **priority order** —
+//! then the pack itself. Packs are scanned in **priority order** —
 //! lexicographic pack-file order at load time — and the **first** pack
 //! whose per-column accept fraction clears `VALUE_THRESHOLD` wins; a value
 //! is a one-value column, so for it that is the first pack that accepts.
-//! Verdicts are pure functions of `(pack, value)` (leased executors are
-//! rolled back to the pack snapshot after every probe), so the cache, the
+//! Verdicts are pure functions of `(pack, value)` (a pack's executor never
+//! changes after it is built), so the cache, the
 //! pool, and the scheduler are all transparent: any worker count, any
 //! cache state, and any probe order produce bit-identical answers.
 //!
@@ -112,17 +112,11 @@ impl DetectorRuntime {
         self.pool.workers()
     }
 
-    /// One uncached `(pack, value)` probe on one of the pack's leased
-    /// executors, with full metric accounting. This is the only place the
+    /// One uncached `(pack, value)` probe, with full metric accounting. This is the only place the
     /// runtime executes probes.
     fn probe_uncached(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
         let start = Instant::now();
         let probe = self.packs[pack].probe(value, max_fuel);
-        Metrics::bump(if probe.reused {
-            &self.metrics.executors_reused
-        } else {
-            &self.metrics.executors_cloned
-        });
         let pm = &self.metrics.per_pack[pack];
         pm.latency.record_us(start.elapsed().as_micros() as u64);
         Metrics::bump(&pm.probes);
@@ -410,19 +404,29 @@ mod tests {
     }
 
     #[test]
-    fn executors_are_leased_not_recloned() {
-        let rt = runtime(1);
-        let values: Vec<String> = (0..12).map(|i| format!("w{i}")).collect();
-        rt.detect_batch(&values);
-        let cloned = Metrics::read(&rt.metrics().executors_cloned);
-        let reused = Metrics::read(&rt.metrics().executors_reused);
-        assert!(
-            cloned <= 2,
-            "one clone per (pack, concurrent worker) expected, got {cloned}"
-        );
-        assert!(
-            reused > cloned,
-            "steady state must reuse: {reused} vs {cloned}"
-        );
+    fn function_body_import_packs_serve_identically_at_any_width() {
+        let late = Pack {
+            packages: vec![(
+                "latelib".into(),
+                "def short(s):\n    if len(s) < 3:\n        return True\n    return False\n".into(),
+            )],
+            ..boolean_pack(
+                "late",
+                "is_short",
+                "def is_short(s):\n    import latelib\n    return latelib.short(s)\n",
+            )
+        };
+        let values: Vec<String> = (0..12).map(|i| "w".repeat(i % 5)).collect();
+        let expected: Vec<Option<usize>> =
+            values.iter().map(|v| (v.len() < 3).then_some(0)).collect();
+        for workers in [1usize, 4] {
+            let rt = DetectorRuntime::from_packs(vec![late.validator().unwrap()], workers, 1024);
+            assert_eq!(rt.detect_batch(&values), expected, "workers={workers}");
+            assert_eq!(
+                rt.detect_batch(&values),
+                expected,
+                "cached, workers={workers}"
+            );
+        }
     }
 }

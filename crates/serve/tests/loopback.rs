@@ -166,3 +166,54 @@ fn detect_batch_metrics_and_errors_over_loopback() {
     // loop has exited; a connect may succeed at TCP level on some kernels
     // via backlog, so just assert the handle joined without hanging).
 }
+
+/// Send `head` raw and return the response's status code. The server may
+/// close before reading everything sent, so a reset after the response
+/// arrived is not an error.
+fn raw_status(addr: std::net::SocketAddr, head: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // The server may stop reading once the cap is hit; a failed write past
+    // that point is expected.
+    let _ = stream.write_all(head);
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => raw.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let raw = String::from_utf8_lossy(&raw);
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {raw:?}"))
+}
+
+#[test]
+fn oversized_request_lines_and_header_counts_get_431() {
+    let handle = serve(
+        Arc::new(test_runtime()),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.addr();
+
+    let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(64 * 1024));
+    assert_eq!(raw_status(addr, long_line.as_bytes()), 431);
+
+    let mut many = String::from("GET /healthz HTTP/1.1\r\n");
+    for i in 0..1_000 {
+        many.push_str(&format!("X-Filler-{i}: {i}\r\n"));
+    }
+    many.push_str("\r\n");
+    assert_eq!(raw_status(addr, many.as_bytes()), 431);
+
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    handle.shutdown();
+}

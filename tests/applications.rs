@@ -120,7 +120,7 @@ fn credit_card_transformations_surface_brand() {
     );
 }
 
-/// The install loop is exercised by repositories importing `relib`: the
+/// Dependency installation is exercised by repositories importing `relib`: the
 /// session still synthesizes working validators for shape-based types.
 #[test]
 fn relib_backed_types_synthesize() {
