@@ -52,13 +52,14 @@ use autotype_synth::{
 };
 use rand::rngs::StdRng;
 
+/// Repositories taken from each search engine before the union. The paper
+/// uses 40 against all of GitHub; this scales that to the synthetic corpus
+/// (documented in DESIGN.md).
+const TOP_K_REPOS: usize = 8;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct AutoTypeConfig {
-    /// Repositories taken from each search engine before the union. The
-    /// paper uses 40 against all of GitHub; the default scales that to the
-    /// synthetic corpus (documented in DESIGN.md).
-    pub top_k_repos: usize,
     /// Execution fuel per run (the deterministic 30-second watchdog).
     pub fuel: u64,
     /// DNF cover parameters (paper: k = 3, θ = 0.3).
@@ -76,7 +77,6 @@ pub struct AutoTypeConfig {
 impl Default for AutoTypeConfig {
     fn default() -> Self {
         AutoTypeConfig {
-            top_k_repos: 8,
             fuel: 300_000,
             cover: CoverParams::default(),
             mutation: MutationConfig::default(),
@@ -146,6 +146,22 @@ struct SessionCandidate {
 /// One candidate's traces over a list of inputs: the full featurized trace
 /// set and the black-box view, aligned with the inputs.
 type CandidateTraces = (Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>);
+
+/// Pair each candidate's positive traces with its negative traces.
+fn function_traces(
+    pos: impl IntoIterator<Item = CandidateTraces>,
+    neg: Vec<CandidateTraces>,
+) -> Vec<FunctionTraces> {
+    pos.into_iter()
+        .zip(neg)
+        .map(|((pos, pos_bb), (neg, neg_bb))| FunctionTraces {
+            pos,
+            neg,
+            pos_bb,
+            neg_bb,
+        })
+        .collect()
+}
 
 /// A synthesis session: retrieved repositories, discovered candidates,
 /// their traces over `P ∪ N`, and everything needed to rank and replay.
@@ -221,7 +237,7 @@ impl AutoType {
             &self.index,
             &[SearchEngine::GITHUB, SearchEngine::BING],
             keyword,
-            self.config.top_k_repos,
+            TOP_K_REPOS,
         )
     }
 
@@ -310,16 +326,7 @@ impl<'a> Session<'a> {
                 let negatives = random_negatives(self.positives.len() * per_pos, rng);
                 let neg_traces = self.run_all(&negatives);
                 self.negatives = negatives;
-                self.traces = pos_traces
-                    .into_iter()
-                    .zip(neg_traces)
-                    .map(|((pos, pos_bb), (neg, neg_bb))| FunctionTraces {
-                        pos,
-                        neg,
-                        pos_bb,
-                        neg_bb,
-                    })
-                    .collect();
+                self.traces = function_traces(pos_traces, neg_traces);
             }
             NegativeMode::Hierarchy => {
                 for strategy in Strategy::HIERARCHY {
@@ -330,17 +337,7 @@ impl<'a> Session<'a> {
                         rng,
                     );
                     let neg_traces = self.run_all(&negatives);
-                    let traces: Vec<FunctionTraces> = pos_traces
-                        .iter()
-                        .cloned()
-                        .zip(neg_traces)
-                        .map(|((pos, pos_bb), (neg, neg_bb))| FunctionTraces {
-                            pos,
-                            neg,
-                            pos_bb,
-                            neg_bb,
-                        })
-                        .collect();
+                    let traces = function_traces(pos_traces.iter().cloned(), neg_traces);
                     // R ≠ ∅ check: does any candidate separate?
                     let separable = traces.iter().any(|t| {
                         let (input, _) = t.cover_input();
@@ -425,7 +422,7 @@ impl<'a> Session<'a> {
         let ranked = rank_methods(
             method,
             &self.traces,
-            &documents,
+            documents,
             &self.keyword,
             &self.engine.config.cover,
         );
@@ -672,7 +669,7 @@ impl<'a> Session<'a> {
                 outcome.harvest
             })
             .collect();
-        harvest_transformations(&harvests, 0.5, true)
+        harvest_transformations(&harvests, true)
     }
 }
 

@@ -5,34 +5,25 @@ use crate::recipes::snippet_files_for;
 use crate::{pylite, wrap};
 use autotype_typesys::{registry, Coverage, SemanticType};
 
-/// Corpus-construction knobs.
-#[derive(Debug, Clone)]
-pub struct CorpusConfig {
-    pub seed: u64,
-    /// Size of the "Swift programming language" distractor fleet that makes
-    /// the bare "SWIFT" query ambiguous (Figure 12).
-    pub swift_fleet: usize,
-    /// Size of the "number"-dense distractor fleet that degrades the
-    /// non-standard "DOI number" query (Figure 12).
-    pub number_fleet: usize,
-    /// Whether to add keyword-bait files for popular types (drives the KW
-    /// baseline's false positives in Figure 8).
-    pub keyword_bait: bool,
-}
+/// Seed for the per-type snippet variations.
+const SEED: u64 = 0xA07071;
 
-impl Default for CorpusConfig {
-    fn default() -> Self {
-        CorpusConfig {
-            seed: 0xA07071,
-            swift_fleet: 12,
-            number_fleet: 12,
-            keyword_bait: true,
-        }
-    }
-}
+/// Size of the "Swift programming language" distractor fleet that makes
+/// the bare "SWIFT" query ambiguous (Figure 12).
+const SWIFT_FLEET: usize = 12;
+
+/// Size of the "number"-dense distractor fleet that degrades the
+/// non-standard "DOI number" query (Figure 12).
+const NUMBER_FLEET: usize = 12;
+
+/// The argument of [`build_corpus`]. It has no fields: the corpus is one
+/// fixed synthetic universe. The type stays only because the benchmark
+/// harness calls `build_corpus(&CorpusConfig::default())`.
+#[derive(Debug, Clone, Default)]
+pub struct CorpusConfig {}
 
 /// Build the full synthetic open-source universe.
-pub fn build_corpus(config: &CorpusConfig) -> Corpus {
+pub fn build_corpus(_: &CorpusConfig) -> Corpus {
     let mut corpus = Corpus::default();
     corpus
         .packages
@@ -44,13 +35,13 @@ pub fn build_corpus(config: &CorpusConfig) -> Corpus {
 
     for ty in registry() {
         match ty.coverage {
-            Coverage::Covered => add_type_repos(&mut corpus, ty, config),
+            Coverage::Covered => add_type_repos(&mut corpus, ty),
             Coverage::UnsupportedInvocation => add_unsupported_repo(&mut corpus, ty),
             Coverage::NoCode => { /* nothing exists on "GitHub" */ }
         }
     }
 
-    add_distractors(&mut corpus, config);
+    add_distractors(&mut corpus);
     corpus
 }
 
@@ -70,8 +61,8 @@ fn readme_for(ty: &SemanticType) -> String {
     text
 }
 
-fn add_type_repos(corpus: &mut Corpus, ty: &SemanticType, config: &CorpusConfig) {
-    let mut files = snippet_files_for(ty, config.seed);
+fn add_type_repos(corpus: &mut Corpus, ty: &SemanticType) {
+    let mut files = snippet_files_for(ty, SEED);
     if files.is_empty() {
         return;
     }
@@ -101,7 +92,7 @@ fn add_type_repos(corpus: &mut Corpus, ty: &SemanticType, config: &CorpusConfig)
     }
     // Roughly half the popular types attract keyword-stuffed UI projects
     // (enough to cost the KW baseline its top ranks, as in Figure 8).
-    if config.keyword_bait && ty.popular && ty.id.is_multiple_of(2) {
+    if ty.popular && ty.id.is_multiple_of(2) {
         let id = corpus.repositories.len();
         corpus.repositories.push(Repository {
             id,
@@ -158,7 +149,7 @@ fn add_unsupported_repo(corpus: &mut Corpus, ty: &SemanticType) {
     });
 }
 
-fn add_distractors(corpus: &mut Corpus, config: &CorpusConfig) {
+fn add_distractors(corpus: &mut Corpus) {
     let mut push = |name: String, description: String, readme: String, files: Vec<SnippetFile>| {
         let id = corpus.repositories.len();
         corpus.repositories.push(Repository {
@@ -210,8 +201,7 @@ fn add_distractors(corpus: &mut Corpus, config: &CorpusConfig) {
         "closures",
         "optionals",
     ];
-    for i in 0..config.swift_fleet {
-        let topic = SWIFT_TOPICS[i % SWIFT_TOPICS.len()];
+    for topic in SWIFT_TOPICS.iter().take(SWIFT_FLEET) {
         push(
             format!("swift-{topic}"),
             format!("Swift {topic}: learn the Swift programming language"),
@@ -243,8 +233,7 @@ fn add_distractors(corpus: &mut Corpus, config: &CorpusConfig) {
         "reference",
         "customer",
     ];
-    for i in 0..config.number_fleet {
-        let topic = NUMBER_TOPICS[i % NUMBER_TOPICS.len()];
+    for topic in NUMBER_TOPICS.iter().take(NUMBER_FLEET) {
         push(
             format!("{topic}-number-manager"),
             format!("Manage {topic} number records: number generation, number lookup"),

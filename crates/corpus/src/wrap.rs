@@ -143,19 +143,6 @@ def {func}(s):
     )
 }
 
-/// An intent-matching but broken validator: rejects everything.
-pub fn broken_validator(type_name: &str, func: &str) -> String {
-    format!(
-        r#"# {type_name} validator (work in progress, currently disabled)
-def {func}(s):
-    # TODO: implement the real {type_name} check
-    if len(s) >= 0:
-        raise NotImplementedError('{type_name} validation not finished')
-    return False
-"#
-    )
-}
-
 /// Multi-step invocation chain (the shape AutoType cannot invoke, §8.2.2:
 /// `a = foo1(); b = foo2(a); c = foo3(b, s)`).
 pub fn multi_step_chain(type_name: &str, prefix: &str) -> String {
@@ -207,7 +194,6 @@ mod tests {
             string_utils(),
             swift_language_repo_file(),
             keyword_bait("credit card", "render_field"),
-            broken_validator("ISBN", "check_isbn"),
             multi_step_chain("SQL statement", "sql"),
         ] {
             parse_source(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));

@@ -79,24 +79,6 @@ impl BitSet {
             .sum()
     }
 
-    /// `|self ∪ other|` without allocating.
-    pub fn union_count(&self, other: &BitSet) -> usize {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Count of elements in `self` but not in `other`.
-    pub fn difference_count(&self, other: &BitSet) -> usize {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
-
     /// Indices of all set bits, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len).filter(|i| self.contains(*i))
@@ -139,15 +121,13 @@ mod tests {
             b.insert(i);
         }
         assert_eq!(a.intersection_count(&b), 2);
-        assert_eq!(a.union_count(&b), 4);
-        assert_eq!(a.difference_count(&b), 1);
         a.intersect_with(&b);
         assert_eq!(a.count(), 2);
     }
 
     proptest! {
         #[test]
-        fn intersection_union_counts_agree_with_naive(
+        fn intersection_counts_agree_with_naive(
             xs in proptest::collection::vec(0usize..200, 0..60),
             ys in proptest::collection::vec(0usize..200, 0..60),
         ) {
@@ -158,8 +138,6 @@ mod tests {
             let sa: std::collections::BTreeSet<_> = xs.iter().collect();
             let sb: std::collections::BTreeSet<_> = ys.iter().collect();
             prop_assert_eq!(a.intersection_count(&b), sa.intersection(&sb).count());
-            prop_assert_eq!(a.union_count(&b), sa.union(&sb).count());
-            prop_assert_eq!(a.difference_count(&b), sa.difference(&sb).count());
             prop_assert_eq!(a.count(), sa.len());
         }
 

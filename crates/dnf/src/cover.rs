@@ -47,16 +47,16 @@ impl CoverInput {
     }
 }
 
+/// Cap on the number of literal-group representatives enumerated (bounds
+/// the `O(|S|^k)` search; groups are kept by descending positive coverage).
+const MAX_GROUPS: usize = 24;
+
 /// Solver parameters: `k` (max literals per conjunction, Definition 4) and
 /// `θ` (negative-coverage budget as a fraction of `|N|`, Definition 3).
 #[derive(Debug, Clone, Copy)]
 pub struct CoverParams {
     pub k: usize,
     pub theta: f64,
-    /// Cap on the number of literal-group representatives enumerated
-    /// (bounds the `O(|S|^k)` search; groups are kept by descending
-    /// positive coverage).
-    pub max_groups: usize,
     /// Maximum number of disjuncts added by the greedy loop.
     pub max_conjunctions: usize,
 }
@@ -67,7 +67,6 @@ impl Default for CoverParams {
         CoverParams {
             k: 3,
             theta: 0.3,
-            max_groups: 24,
             max_conjunctions: 8,
         }
     }
@@ -211,7 +210,7 @@ fn solve(input: &CoverInput, params: &CoverParams, k: usize) -> Option<DnfCover>
             *l,
         )
     });
-    reps.truncate(params.max_groups);
+    reps.truncate(MAX_GROUPS);
 
     // Enumerate conjunctions up to k literals (the set L in Algorithm 1).
     let mut candidates: Vec<(Conjunction, BitSet)> = Vec::new();

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::metrics::{mean, ndcg, precision_at_k};
-use crate::relevance::{relevance, top_k_relevances, Holdout};
+use crate::relevance::{top_k_relevances, Holdout};
 
 /// Shared evaluation configuration.
 #[derive(Debug, Clone)]
@@ -276,14 +276,7 @@ pub fn fig10c(
             let ranked = session.rank(Method::DnfS);
             // Functions ranked without a validator (no-neg mode) are scored
             // with raw acceptance.
-            let rels: Vec<f64> = {
-                let mut rels = Vec::new();
-                for f in ranked.iter().take(4) {
-                    rels.push(relevance(&mut session, &f.clone(), ty.slug, &holdout));
-                }
-                rels.resize(4, 0.0);
-                rels
-            };
+            let rels = top_k_relevances(&mut session, &ranked, ty.slug, &holdout, 4);
             for k in 1..=4 {
                 per_k[k - 1].push(precision_at_k(&rels, k));
             }

@@ -61,28 +61,15 @@ pub fn relevance(
     }
     // Q(F): holdout quality.
     let use_validator = function.validator.is_some();
-    let mut pos_pass = 0;
-    for p in &holdout.pos_test {
-        let ok = if use_validator {
-            session.validate(function, p)
+    let mut accepts = |value: &String| {
+        if use_validator {
+            session.validate(function, value)
         } else {
-            session.executes_ok(function, p)
-        };
-        if ok {
-            pos_pass += 1;
+            session.executes_ok(function, value)
         }
-    }
-    let mut neg_reject = 0;
-    for n in &holdout.neg_test {
-        let ok = if use_validator {
-            session.validate(function, n)
-        } else {
-            session.executes_ok(function, n)
-        };
-        if !ok {
-            neg_reject += 1;
-        }
-    }
+    };
+    let pos_pass = holdout.pos_test.iter().filter(|p| accepts(p)).count();
+    let neg_reject = holdout.neg_test.iter().filter(|n| !accepts(n)).count();
     quality_score(
         pos_pass,
         holdout.pos_test.len(),

@@ -487,13 +487,40 @@ class Card:
 
     #[test]
     fn missing_package_fails_with_import_error() {
-        let src = "import nosuchpkg\n\ndef f(s):\n    return s\n";
-        let program = program_with(src);
-        let cand = first_candidate(&program);
-        let exec = Executor::new(program, &PackageIndex::new(), FUEL);
-        let out = exec.run(&cand, "x", &PackageIndex::new());
-        assert!(!out.completed());
-        assert!(out.trace.has_exception("ImportError"));
+        // The module fails to load before any entry point is reached; a
+        // function and both class entry kinds record the error alike.
+        let cases = [
+            (
+                "def f(s):\n    return s\n",
+                EntryPoint::Function { name: "f".into() },
+            ),
+            (
+                "class V:\n    def check(self, s):\n        return s\n",
+                EntryPoint::MethodWithParam {
+                    class: "V".into(),
+                    method: "check".into(),
+                },
+            ),
+            (
+                "class C:\n    def __init__(self, s):\n        self.s = s\n    def parse(self):\n        return self.s\n",
+                EntryPoint::CtorThenMethod {
+                    class: "C".into(),
+                    method: "parse".into(),
+                },
+            ),
+        ];
+        for (body, entry) in cases {
+            let program = program_with(&format!("import nosuchpkg\n\n{body}"));
+            let cand = first_candidate(&program);
+            assert_eq!(cand.entry, entry);
+            let exec = Executor::new(program, &PackageIndex::new(), FUEL);
+            let out = exec.run(&cand, "x", &PackageIndex::new());
+            assert!(!out.completed());
+            assert!(
+                out.trace.has_exception("ImportError"),
+                "{entry:?} lost the load error"
+            );
+        }
     }
 
     #[test]

@@ -281,11 +281,17 @@ impl<'p> Interp<'p> {
         self.call_value(func, args, 0)
     }
 
-    /// Fetch a module-level binding (class, function, constant).
+    /// Fetch a module-level binding (class, function, constant), recording
+    /// an `Exception` trace event if the module fails to load or lacks it.
     pub fn get_global(&mut self, file: u32, name: &str) -> Result<Value, PyError> {
-        let globals = self.load_module(file)?;
-        let v = globals.borrow().attrs.get(name).cloned();
-        v.ok_or_else(|| PyError::name_error(name, 0))
+        let result = self.load_module(file).and_then(|globals| {
+            let v = globals.borrow().attrs.get(name).cloned();
+            v.ok_or_else(|| PyError::name_error(name, 0))
+        });
+        if let Err(e) = &result {
+            self.tracer.exception(&e.kind);
+        }
+        result
     }
 
     /// Run a file as a standalone script (executes its top level), recording

@@ -16,5 +16,5 @@ pub mod lr;
 pub mod methods;
 
 pub use features::FunctionTraces;
-pub use lr::{lr_score, LrConfig};
+pub use lr::lr_score;
 pub use methods::{rank, Method, Ranked};

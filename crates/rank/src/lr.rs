@@ -10,30 +10,21 @@ use crate::features::FunctionTraces;
 use autotype_exec::Literal;
 use std::collections::BTreeMap;
 
-/// Training hyper-parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct LrConfig {
-    pub epochs: usize,
-    pub learning_rate: f64,
-    pub l2: f64,
-    /// Fraction of examples held out for scoring.
-    pub holdout: f64,
-}
+/// Gradient-descent passes over the training split.
+const EPOCHS: usize = 120;
 
-impl Default for LrConfig {
-    fn default() -> Self {
-        LrConfig {
-            epochs: 120,
-            learning_rate: 0.5,
-            l2: 1e-3,
-            holdout: 0.3,
-        }
-    }
-}
+/// Gradient-descent step size.
+const LEARNING_RATE: f64 = 0.5;
+
+/// L2 regularisation weight.
+const L2: f64 = 1e-3;
+
+/// Every `HOLDOUT_EVERY`-th example is held out for scoring (about 30%).
+const HOLDOUT_EVERY: usize = 3;
 
 /// Fit LR on a train split and return balanced accuracy on the held-out
 /// split — the function's LR ranking score in `[0, 1]`.
-pub fn lr_score(traces: &FunctionTraces, config: &LrConfig) -> f64 {
+pub fn lr_score(traces: &FunctionTraces) -> f64 {
     // Feature index over all literals.
     let mut index: BTreeMap<&Literal, usize> = BTreeMap::new();
     for t in traces.pos.iter().chain(traces.neg.iter()) {
@@ -52,13 +43,12 @@ pub fn lr_score(traces: &FunctionTraces, config: &LrConfig) -> f64 {
     let pos: Vec<Vec<usize>> = traces.pos.iter().map(encode).collect();
     let neg: Vec<Vec<usize>> = traces.neg.iter().map(encode).collect();
 
-    // Deterministic split: every k-th example is held out.
+    // Deterministic split: every `HOLDOUT_EVERY`-th example is held out.
     let split = |xs: &[Vec<usize>]| -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let k = (1.0 / config.holdout).round().max(2.0) as usize;
         let mut train = Vec::new();
         let mut held = Vec::new();
         for (i, x) in xs.iter().enumerate() {
-            if i % k == k - 1 {
+            if i % HOLDOUT_EVERY == HOLDOUT_EVERY - 1 {
                 held.push(x.clone());
             } else {
                 train.push(x.clone());
@@ -79,7 +69,7 @@ pub fn lr_score(traces: &FunctionTraces, config: &LrConfig) -> f64 {
     let mut w = vec![0.0f64; dims];
     let mut b = 0.0f64;
     let pos_weight = neg_train.len() as f64 / pos_train.len() as f64;
-    for _ in 0..config.epochs {
+    for _ in 0..EPOCHS {
         let mut grad_w = vec![0.0f64; dims];
         let mut grad_b = 0.0f64;
         let mut accumulate = |x: &[usize], y: f64, weight: f64| {
@@ -99,9 +89,9 @@ pub fn lr_score(traces: &FunctionTraces, config: &LrConfig) -> f64 {
         }
         let n = (pos_train.len() + neg_train.len()) as f64;
         for i in 0..dims {
-            w[i] -= config.learning_rate * (grad_w[i] / n + config.l2 * w[i]);
+            w[i] -= LEARNING_RATE * (grad_w[i] / n + L2 * w[i]);
         }
-        b -= config.learning_rate * grad_b / n;
+        b -= LEARNING_RATE * grad_b / n;
     }
 
     // Balanced held-out accuracy.
@@ -138,7 +128,7 @@ mod tests {
             neg: (0..30).map(|_| set(&[lit(1, false)])).collect(),
             ..Default::default()
         };
-        assert!(lr_score(&traces, &LrConfig::default()) > 0.9);
+        assert!(lr_score(&traces) > 0.9);
     }
 
     #[test]
@@ -148,14 +138,14 @@ mod tests {
             neg: (0..30).map(|_| set(&[lit(1, true)])).collect(),
             ..Default::default()
         };
-        let s = lr_score(&traces, &LrConfig::default());
+        let s = lr_score(&traces);
         assert!((0.3..=0.7).contains(&s), "score {s}");
     }
 
     #[test]
     fn empty_traces_score_half() {
         let traces = FunctionTraces::default();
-        assert_eq!(lr_score(&traces, &LrConfig::default()), 0.5);
+        assert_eq!(lr_score(&traces), 0.5);
     }
 
     #[test]
@@ -167,8 +157,8 @@ mod tests {
             neg: (0..20).map(|i| set(&[lit(i % 5 + 20, false)])).collect(),
             ..Default::default()
         };
-        let a = lr_score(&traces, &LrConfig::default());
-        let b = lr_score(&traces, &LrConfig::default());
+        let a = lr_score(&traces);
+        let b = lr_score(&traces);
         assert_eq!(a, b);
     }
 }

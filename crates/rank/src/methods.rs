@@ -1,7 +1,7 @@
 //! The five function-ranking methods compared in §8.1.
 
 use crate::features::FunctionTraces;
-use crate::lr::{lr_score, LrConfig};
+use crate::lr::lr_score;
 use autotype_dnf::{best_cover_complete, best_k_concise_cover, CoverParams, DnfCover};
 use autotype_exec::Literal;
 use autotype_search::{Document, Field, FieldWeights, Index, Scoring};
@@ -65,7 +65,7 @@ pub struct Ranked {
 pub fn rank(
     method: Method,
     traces: &[FunctionTraces],
-    documents: &[String],
+    documents: Vec<String>,
     keyword: &str,
     params: &CoverParams,
 ) -> Vec<Ranked> {
@@ -98,7 +98,7 @@ pub fn rank(
             .enumerate()
             .map(|(id, t)| Ranked {
                 id,
-                score: lr_score(t, &LrConfig::default()),
+                score: lr_score(t),
                 neg_fraction: 0.0,
                 dnf: None,
                 literals: Vec::new(),
@@ -107,11 +107,11 @@ pub fn rank(
             .collect(),
         Method::Kw => {
             let documents: Vec<Document> = documents
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(id, text)| Document {
                     id,
-                    fields: vec![(Field::Code, text.clone())],
+                    fields: vec![(Field::Code, text)],
                 })
                 .collect();
             let index = Index::build(&documents);
@@ -187,7 +187,7 @@ mod tests {
         rank(
             method,
             &traces,
-            &documents,
+            documents,
             "credit card",
             &CoverParams::default(),
         )
@@ -232,7 +232,7 @@ mod tests {
         let ranked = rank(
             Method::Ret,
             &traces,
-            &[String::new()],
+            vec![String::new()],
             "x",
             &CoverParams::default(),
         );
@@ -240,7 +240,7 @@ mod tests {
         let ranked = rank(
             Method::DnfS,
             &traces,
-            &[String::new()],
+            vec![String::new()],
             "x",
             &CoverParams::default(),
         );

@@ -58,17 +58,22 @@ const MAX_LINE: usize = 8 * 1024;
 /// Most header lines read for one request; one more is answered with 431.
 const MAX_HEADERS: usize = 100;
 
+/// Largest request body, in bytes; a larger `Content-Length` is answered
+/// with 413 before any of the body is read.
+const MAX_BODY: usize = 1 << 20;
+
+/// Most values in one `/detect*` request (a table's columns counted
+/// together); one more is answered with 413.
+const MAX_VALUES: usize = 10_000;
+
+/// Socket read timeout once a request is underway (headers and body).
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Tunables for the listener; the defaults suit a local deployment.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port (tests).
     pub addr: String,
-    /// Maximum request body size in bytes.
-    pub max_body: usize,
-    /// Maximum number of values in one batch/column/table request.
-    pub max_values: usize,
-    /// Socket read timeout while inside a request (headers/body).
-    pub read_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
     /// before the server closes it.
     pub idle_timeout: Duration,
@@ -84,9 +89,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7450".to_string(),
-            max_body: 1 << 20,
-            max_values: 10_000,
-            read_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(5),
             max_connections: 64,
             accept_backlog: 64,
@@ -142,12 +144,12 @@ pub fn serve(runtime: Arc<DetectorRuntime>, config: ServerConfig) -> std::io::Re
     for _ in 0..handlers {
         let handoff = handoff.clone();
         let runtime = runtime.clone();
-        let config = config.clone();
+        let idle_timeout = config.idle_timeout;
         let active = active.clone();
         std::thread::spawn(move || {
             while let Some(stream) = handoff.claim() {
                 active.fetch_add(1, Ordering::SeqCst);
-                handle_connection(stream, &runtime, &config);
+                handle_connection(stream, &runtime, idle_timeout);
                 active.fetch_sub(1, Ordering::SeqCst);
             }
         });
@@ -300,7 +302,7 @@ enum ReadHalt {
     Respond(Response),
 }
 
-fn handle_connection(stream: TcpStream, runtime: &DetectorRuntime, config: &ServerConfig) {
+fn handle_connection(stream: TcpStream, runtime: &DetectorRuntime, idle_timeout: Duration) {
     // Persistent connections interact badly with Nagle + delayed ACK
     // (~40 ms stalls per round trip once quickack decays); responses are
     // single complete writes, so disabling Nagle costs nothing.
@@ -312,10 +314,10 @@ fn handle_connection(stream: TcpStream, runtime: &DetectorRuntime, config: &Serv
     loop {
         // Between requests the clock is the idle timeout; once the request
         // line lands, `read_request` switches to the in-request timeout.
-        let _ = stream.set_read_timeout(Some(config.idle_timeout));
-        match read_request(&stream, &mut reader, config) {
+        let _ = stream.set_read_timeout(Some(idle_timeout));
+        match read_request(&stream, &mut reader) {
             Ok((method, path, body, client_keep_alive)) => {
-                let response = route(runtime, &method, &path, &body, config);
+                let response = route(runtime, &method, &path, &body);
                 if response.is_error() {
                     Metrics::bump(&runtime.metrics().http_errors);
                 }
@@ -370,7 +372,6 @@ fn line_text(line: Vec<u8>) -> Result<String, ReadHalt> {
 fn read_request(
     stream: &TcpStream,
     reader: &mut BufReader<TcpStream>,
-    config: &ServerConfig,
 ) -> Result<(String, String, String, bool), ReadHalt> {
     let mut raw = Vec::new();
     match read_line_capped(reader, &mut raw) {
@@ -395,7 +396,7 @@ fn read_request(
     let line = line_text(raw)?;
     // The request is underway: switch to the (usually longer) in-request
     // read timeout for headers and body.
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
@@ -455,7 +456,7 @@ fn read_request(
             }
         }
     }
-    if content_length > config.max_body {
+    if content_length > MAX_BODY {
         return Err(ReadHalt::Respond(Response::error(
             413,
             "request body too large",
@@ -477,26 +478,20 @@ fn read_request(
     Ok((method, path, body, keep_alive))
 }
 
-fn route(
-    runtime: &DetectorRuntime,
-    method: &str,
-    path: &str,
-    body: &str,
-    config: &ServerConfig,
-) -> Response {
+fn route(runtime: &DetectorRuntime, method: &str, path: &str, body: &str) -> Response {
     let m = runtime.metrics();
     match (method, path) {
         ("POST", "/detect") => {
             m.bump_route(Route::Detect);
-            detect_endpoint(runtime, body, config)
+            detect_endpoint(runtime, body)
         }
         ("POST", "/detect/column") => {
             m.bump_route(Route::DetectColumn);
-            detect_column_endpoint(runtime, body, config)
+            detect_column_endpoint(runtime, body)
         }
         ("POST", "/detect/table") => {
             m.bump_route(Route::DetectTable);
-            detect_table_endpoint(runtime, body, config)
+            detect_table_endpoint(runtime, body)
         }
         ("GET", "/healthz") => {
             m.bump_route(Route::Healthz);
@@ -545,7 +540,7 @@ fn parse_max_fuel(parsed: &Json) -> Result<Option<u64>, Response> {
 
 /// Pull the value list out of a parsed request body: either `"value": "…"`
 /// (a batch of one) or `"values": ["…", …]`.
-fn parse_values(parsed: &Json, config: &ServerConfig) -> Result<Vec<String>, Response> {
+fn parse_values(parsed: &Json) -> Result<Vec<String>, Response> {
     if let Some(v) = parsed.get("value") {
         let s = v
             .as_str()
@@ -556,7 +551,7 @@ fn parse_values(parsed: &Json, config: &ServerConfig) -> Result<Vec<String>, Res
         .get("values")
         .and_then(Json::as_array)
         .ok_or_else(|| Response::error(400, "expected \"value\" or \"values\""))?;
-    if values.len() > config.max_values {
+    if values.len() > MAX_VALUES {
         return Err(Response::error(413, "too many values"));
     }
     string_values(values)
@@ -591,12 +586,12 @@ fn pack_fields(runtime: &DetectorRuntime, pack: Option<usize>) -> String {
     }
 }
 
-fn detect_endpoint(runtime: &DetectorRuntime, body: &str, config: &ServerConfig) -> Response {
+fn detect_endpoint(runtime: &DetectorRuntime, body: &str) -> Response {
     let parsed = match json::parse(body) {
         Ok(p) => p,
         Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
-    let (values, max_fuel) = match (parse_values(&parsed, config), parse_max_fuel(&parsed)) {
+    let (values, max_fuel) = match (parse_values(&parsed), parse_max_fuel(&parsed)) {
         (Ok(v), Ok(f)) => (v, f),
         (Err(resp), _) | (_, Err(resp)) => return resp,
     };
@@ -616,16 +611,12 @@ fn detect_endpoint(runtime: &DetectorRuntime, body: &str, config: &ServerConfig)
     Response::json(200, format!("{{\"results\":[{}]}}", results.join(",")))
 }
 
-fn detect_column_endpoint(
-    runtime: &DetectorRuntime,
-    body: &str,
-    config: &ServerConfig,
-) -> Response {
+fn detect_column_endpoint(runtime: &DetectorRuntime, body: &str) -> Response {
     let parsed = match json::parse(body) {
         Ok(p) => p,
         Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
-    let (values, max_fuel) = match (parse_values(&parsed, config), parse_max_fuel(&parsed)) {
+    let (values, max_fuel) = match (parse_values(&parsed), parse_max_fuel(&parsed)) {
         (Ok(v), Ok(f)) => (v, f),
         (Err(resp), _) | (_, Err(resp)) => return resp,
     };
@@ -640,7 +631,7 @@ fn detect_column_endpoint(
     )
 }
 
-fn detect_table_endpoint(runtime: &DetectorRuntime, body: &str, config: &ServerConfig) -> Response {
+fn detect_table_endpoint(runtime: &DetectorRuntime, body: &str) -> Response {
     let parsed = match json::parse(body) {
         Ok(p) => p,
         Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
@@ -661,7 +652,7 @@ fn detect_table_endpoint(runtime: &DetectorRuntime, body: &str, config: &ServerC
             None => return Response::error(400, "each column must be an array of strings"),
         };
         total += items.len();
-        if total > config.max_values {
+        if total > MAX_VALUES {
             return Response::error(413, "too many values");
         }
         match string_values(items) {

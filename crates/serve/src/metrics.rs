@@ -9,8 +9,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Histogram bucket upper bounds, in microseconds. Probe latency spans
-/// short interpreter runs (a few microseconds) to runs with dynamic
-/// installs (milliseconds), so the buckets are logarithmic.
+/// short interpreter runs (a few microseconds) to runs that spend a pack's
+/// whole fuel budget (milliseconds), so the buckets are logarithmic.
 pub const LATENCY_BUCKETS_US: [u64; 11] =
     [1, 2, 5, 10, 50, 100, 500, 1_000, 5_000, 20_000, 100_000];
 

@@ -217,3 +217,52 @@ fn oversized_request_lines_and_header_counts_get_431() {
     assert!(body.contains("\"status\":\"ok\""), "{body}");
     handle.shutdown();
 }
+
+/// The server's body and value-count caps (`MAX_BODY`, `MAX_VALUES` in
+/// `src/http.rs`).
+const MAX_BODY: usize = 1 << 20;
+const MAX_VALUES: usize = 10_000;
+
+/// A JSON array of `n` one-character strings.
+fn values_json(n: usize) -> String {
+    format!("[{}]", vec!["\"a\""; n].join(","))
+}
+
+#[test]
+fn oversized_bodies_and_value_counts_get_413() {
+    let handle = serve(
+        Arc::new(test_runtime()),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.addr();
+
+    // Refused from the header alone: no body is sent.
+    let head = format!(
+        "POST /detect HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY + 1
+    );
+    assert_eq!(raw_status(addr, head.as_bytes()), 413);
+
+    let body = format!("{{\"values\":{}}}", values_json(MAX_VALUES + 1));
+    let (status, body) = request(addr, "POST", "/detect", &body);
+    assert_eq!(status, 413, "{body}");
+
+    // The cap counts a table's columns together.
+    let half = MAX_VALUES / 2;
+    let body = format!(
+        "{{\"columns\":[{},{}]}}",
+        values_json(half),
+        values_json(MAX_VALUES + 1 - half)
+    );
+    let (status, body) = request(addr, "POST", "/detect/table", &body);
+    assert_eq!(status, 413, "{body}");
+
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    handle.shutdown();
+}

@@ -32,16 +32,19 @@ impl Transformation {
     }
 }
 
+/// Variables present on fewer than this fraction of the examples are
+/// dropped.
+const MIN_COVERAGE: f64 = 0.5;
+
 /// Aggregate per-example harvests into transformation candidates.
 ///
 /// * `harvests[i]` — the (name, value) pairs produced when the function ran
 ///   on positive example `i`.
-/// * Variables present on fewer than `min_coverage` of examples are
-///   dropped, as are constant variables when `drop_constant` is set (the
-///   paper filters low-entropy variables "when necessary").
+/// * Variables present on fewer than half of the examples are dropped, as
+///   are constant variables when `drop_constant` is set (the paper filters
+///   low-entropy variables "when necessary").
 pub fn harvest_transformations(
     harvests: &[Vec<(String, String)>],
-    min_coverage: f64,
     drop_constant: bool,
 ) -> Vec<Transformation> {
     let n = harvests.len();
@@ -60,7 +63,7 @@ pub fn harvest_transformations(
     let mut out = Vec::new();
     for (name, values) in by_name {
         let present = values.iter().filter(|v| v.is_some()).count();
-        if (present as f64 / n as f64) < min_coverage {
+        if (present as f64 / n as f64) < MIN_COVERAGE {
             continue;
         }
         let mut distinct: Vec<&String> = values.iter().flatten().collect();
@@ -105,7 +108,7 @@ mod tests {
 
     #[test]
     fn harvests_brand_and_prefix_columns() {
-        let transforms = harvest_transformations(&harvests(), 0.5, true);
+        let transforms = harvest_transformations(&harvests(), true);
         let names: Vec<&str> = transforms.iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"return.card_brand"));
         assert!(names.contains(&"return.issuer_prefix"));
@@ -113,13 +116,13 @@ mod tests {
 
     #[test]
     fn constant_variables_are_filtered() {
-        let transforms = harvest_transformations(&harvests(), 0.5, true);
+        let transforms = harvest_transformations(&harvests(), true);
         assert!(
             !transforms.iter().any(|t| t.name == "return.api_version"),
             "constant api_version must be entropy-filtered"
         );
         // With the filter off it is kept.
-        let unfiltered = harvest_transformations(&harvests(), 0.5, false);
+        let unfiltered = harvest_transformations(&harvests(), false);
         assert!(unfiltered.iter().any(|t| t.name == "return.api_version"));
     }
 
@@ -127,13 +130,13 @@ mod tests {
     fn sparse_variables_are_dropped_by_coverage() {
         let mut h = harvests();
         h[0].push(("return.rare".into(), "x".into()));
-        let transforms = harvest_transformations(&h, 0.5, true);
+        let transforms = harvest_transformations(&h, true);
         assert!(!transforms.iter().any(|t| t.name == "return.rare"));
     }
 
     #[test]
     fn coverage_and_distinct_counts() {
-        let transforms = harvest_transformations(&harvests(), 0.5, true);
+        let transforms = harvest_transformations(&harvests(), true);
         let brand = transforms
             .iter()
             .find(|t| t.name == "return.card_brand")
@@ -144,6 +147,6 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_output() {
-        assert!(harvest_transformations(&[], 0.5, true).is_empty());
+        assert!(harvest_transformations(&[], true).is_empty());
     }
 }

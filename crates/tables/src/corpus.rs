@@ -29,12 +29,8 @@ pub struct TableConfig {
     pub scale: f64,
     /// Number of untyped filler columns.
     pub untyped: usize,
-    /// Rows per column.
-    pub rows: (usize, usize),
     /// Fraction of dirty values inside typed columns.
     pub dirt: f64,
-    /// Probability that a typed column loses its header.
-    pub header_dropout: f64,
 }
 
 impl Default for TableConfig {
@@ -42,12 +38,16 @@ impl Default for TableConfig {
         TableConfig {
             scale: 1.0,
             untyped: 2000,
-            rows: (8, 24),
             dirt: 0.08,
-            header_dropout: 0.3,
         }
     }
 }
+
+/// Rows per column.
+const ROWS: std::ops::RangeInclusive<usize> = 8..=24;
+
+/// Probability that a typed column loses its header.
+const HEADER_DROPOUT: f64 = 0.3;
 
 /// Paper Table 2 "Union-all" counts: the 15 (of 20) popular types that
 /// actually occur in web tables, with their column counts.
@@ -105,7 +105,7 @@ pub fn generate_columns(config: &TableConfig, rng: &mut StdRng) -> Vec<Column> {
         let ty = by_slug(slug).expect("benchmark type");
         let count = ((*paper_count as f64) * config.scale).ceil() as usize;
         for i in 0..count {
-            let rows = rng.gen_range(config.rows.0..=config.rows.1);
+            let rows = rng.gen_range(ROWS);
             let mut values: Vec<String> = (0..rows).map(|_| (ty.generate)(rng)).collect();
             // Dirt.
             for v in values.iter_mut() {
@@ -137,7 +137,7 @@ pub fn generate_columns(config: &TableConfig, rng: &mut StdRng) -> Vec<Column> {
                     *v = format!("524 Lake, Salem, OR, {v}");
                 }
             }
-            let header = if rng.gen_bool(config.header_dropout) {
+            let header = if rng.gen_bool(HEADER_DROPOUT) {
                 None
             } else if rng.gen_bool(0.25) {
                 Some(GENERIC_HEADERS[rng.gen_range(0..GENERIC_HEADERS.len())].to_string())
@@ -156,7 +156,7 @@ pub fn generate_columns(config: &TableConfig, rng: &mut StdRng) -> Vec<Column> {
     // like IPv4, and numeric ranges.
     let ambiguous = (config.untyped / 1000).clamp(2, 6);
     for _ in 0..ambiguous {
-        let rows = rng.gen_range(config.rows.0..=config.rows.1);
+        let rows = rng.gen_range(ROWS);
         let values = (0..rows)
             .map(|_| {
                 format!(
@@ -175,7 +175,7 @@ pub fn generate_columns(config: &TableConfig, rng: &mut StdRng) -> Vec<Column> {
         });
     }
     for _ in 0..ambiguous {
-        let rows = rng.gen_range(config.rows.0..=config.rows.1);
+        let rows = rng.gen_range(ROWS);
         let values = (0..rows)
             .map(|_| format!("{}-{}", rng.gen_range(1..15), rng.gen_range(5..30)))
             .collect();
@@ -192,7 +192,7 @@ pub fn generate_columns(config: &TableConfig, rng: &mut StdRng) -> Vec<Column> {
         "engine", "wheel", "stone", "cloud", "paper", "glass",
     ];
     for i in 0..config.untyped {
-        let rows = rng.gen_range(config.rows.0..=config.rows.1);
+        let rows = rng.gen_range(ROWS);
         let values: Vec<String> = match i % 4 {
             0 => (0..rows)
                 .map(|_| WORDS[rng.gen_range(0..WORDS.len())].to_string())

@@ -67,7 +67,6 @@ fn isbn_column_detection_end_to_end() {
             scale: 0.4,
             untyped: 60,
             dirt: 0.05,
-            ..Default::default()
         },
         &mut rng,
     );
