@@ -89,7 +89,7 @@ pub fn top_k_relevances(
     let mut out: Vec<f64> = ranked
         .iter()
         .take(k)
-        .map(|f| relevance(session, &f.clone(), target_slug, holdout))
+        .map(|f| relevance(session, f, target_slug, holdout))
         .collect();
     out.resize(k, 0.0);
     out

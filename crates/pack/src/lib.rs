@@ -33,13 +33,14 @@
 //!
 //! [`Pack::validator`] rehydrates a [`PackValidator`] — the one detector
 //! type, used in process (`Session::batch_validator`) and by the serve
-//! runtime alike: every probe runs on the validator's one executor, which
-//! never changes after it is built, so a probe is a pure function of its
-//! input and verdicts are bit-identical to the in-process session
-//! validator at any concurrency.
+//! runtime alike: every probe runs on its crew seat's executor, each built
+//! from the same sources and never changed after it is built, so a probe
+//! is a pure function of its input and verdicts are bit-identical to the
+//! in-process session validator at any concurrency.
 
 use std::path::Path;
 
+use autotype_exec::pool::{default_workers, seat};
 use autotype_exec::{probe_trace, Candidate, EntryPoint, Executor, Literal, PackageIndex};
 use autotype_lang::{Program, SiteId, ValueSummary};
 use autotype_synth::SynthesizedValidator;
@@ -231,22 +232,36 @@ impl Pack {
         Pack::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Rehydrate the runtime validator: re-parse the program snapshot in
-    /// file-id order, resolve its imports over the pack's own `packages`,
-    /// and wrap the DNF-E. Resolution only appends files, so no file id in
-    /// the DNF-E moves; an exported snapshot is already closed and gains
-    /// nothing.
+    /// Rehydrate the runtime validator with one executor per crew seat
+    /// ([`default_workers`] of them): each re-parses the program snapshot
+    /// in file-id order and resolves its imports over the pack's own
+    /// `packages`, and the DNF-E is wrapped once. Resolution only appends
+    /// files, so no file id in the DNF-E moves; an exported snapshot is
+    /// already closed and gains nothing.
     pub fn validator(&self) -> Result<PackValidator, PackError> {
-        let mut program = Program::new();
-        for (name, source) in &self.files {
-            program
-                .add_file(name, source)
-                .map_err(|e| PackError::Parse(format!("{name}: {e}")))?;
-        }
+        self.validator_with_seats(default_workers())
+    }
+
+    /// [`validator`](Self::validator) with `seats` executors (at least
+    /// one). Each parses the sources afresh rather than cloning the first:
+    /// a `Program` clone shares every AST `Arc`, so two cores probing it
+    /// would bump the same refcounts on every probe.
+    fn validator_with_seats(&self, seats: usize) -> Result<PackValidator, PackError> {
         let mut packages = PackageIndex::new();
         for (name, source) in &self.packages {
             packages.insert(name, source);
         }
+        let execs = (0..seats.max(1))
+            .map(|_| {
+                let mut program = Program::new();
+                for (name, source) in &self.files {
+                    program
+                        .add_file(name, source)
+                        .map_err(|e| PackError::Parse(format!("{name}: {e}")))?;
+                }
+                Ok(Executor::new(program, &packages, self.fuel))
+            })
+            .collect::<Result<_, PackError>>()?;
         if self.candidate_file as usize >= self.files.len() {
             return Err(PackError::Malformed(format!(
                 "candidate file id {} out of range ({} files)",
@@ -262,7 +277,7 @@ impl Pack {
                 file: self.candidate_file,
                 entry: self.entry.clone(),
             },
-            exec: Executor::new(program, &packages, self.fuel),
+            execs,
             validator: SynthesizedValidator {
                 dnf_e: self.dnf_e.clone(),
             },
@@ -483,16 +498,19 @@ fn read_literal(r: &mut Reader<'_>) -> Result<Literal, PackError> {
 /// instrumentation and checks `∧T(s) → DNF-E` (Algorithm 3), exactly like
 /// `Session::validate`.
 ///
-/// Thread-safe by construction: every probe runs on the one executor,
-/// which never changes after it is built, so each probe is a pure
-/// function of its input and any number of threads can probe at once.
+/// Thread-safe by construction: no executor changes after it is built,
+/// so each probe is a pure function of its input and any number of
+/// threads can probe at once.
 #[derive(Debug)]
 pub struct PackValidator {
     pack_id: String,
     slug: String,
     label: String,
     candidate: Candidate,
-    exec: Executor,
+    /// One executor per crew seat, each over its own parse of the pack's
+    /// sources, so threads in different seats share no AST `Arc`. A probe
+    /// runs on `execs[seat() % execs.len()]`.
+    execs: Vec<Executor>,
     validator: SynthesizedValidator,
 }
 
@@ -526,12 +544,13 @@ impl PackValidator {
         (probe.verdict, probe.fuel)
     }
 
-    /// The one probe path: run with an optional per-probe fuel ceiling,
-    /// clamped to the pack's own budget.
+    /// The one probe path: run on the calling thread's seat executor with
+    /// an optional per-probe fuel ceiling, clamped to the pack's own budget.
     pub fn probe(&self, input: &str, max_fuel: Option<u64>) -> Probe {
-        let budget = self.exec.fuel();
+        let exec = &self.execs[seat() % self.execs.len()];
+        let budget = exec.fuel();
         let fuel = max_fuel.map_or(budget, |cap| cap.min(budget));
-        let (trace, fuel) = probe_trace(&self.exec, &self.candidate, input, fuel);
+        let (trace, fuel) = probe_trace(exec, &self.candidate, input, fuel);
         Probe {
             verdict: self.validator.accepts(&trace),
             fuel,
@@ -540,7 +559,7 @@ impl PackValidator {
 
     /// The per-probe fuel budget baked into the pack at export time.
     pub fn fuel_budget(&self) -> u64 {
-        self.exec.fuel()
+        self.execs[0].fuel()
     }
 }
 
@@ -559,6 +578,29 @@ pub fn load_pack(path: &Path) -> Result<PackValidator, PackError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autotype_exec::ExecPool;
+    use std::sync::{Arc, Barrier};
+
+    /// Run `f` once in each seat of a two-thread crew and return the
+    /// results in seat order, or `None` on a one-core machine, whose crews
+    /// run every job on the caller.
+    fn on_both_seats<R: Send>(f: impl Fn() -> R + Sync) -> Option<Vec<R>> {
+        if default_workers() < 2 {
+            return None;
+        }
+        // Each job waits at the barrier, so each thread runs one of them.
+        let barrier = Barrier::new(2);
+        let mut out = ExecPool::new(2).run_ordered(vec![(); 2], |_, ()| {
+            barrier.wait();
+            (seat(), f())
+        });
+        out.sort_by_key(|(seat, _)| *seat);
+        assert_eq!(
+            out.iter().map(|(seat, _)| *seat).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        Some(out.into_iter().map(|(_, r)| r).collect())
+    }
 
     /// A hand-built pack around a trivial one-file program, small enough to
     /// exercise the full format without a synthesis session.
@@ -695,16 +737,53 @@ mod tests {
     #[test]
     fn function_body_import_resolves_when_the_pack_loads() {
         let v = late_import_pack().validator().expect("validator");
-        let names: Vec<&str> = v
-            .exec
-            .program()
-            .files
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, ["mod", "latelib"]);
+        assert_eq!(v.execs.len(), default_workers());
+        for exec in &v.execs {
+            let names: Vec<&str> = exec
+                .program()
+                .files
+                .iter()
+                .map(|f| f.name.as_str())
+                .collect();
+            assert_eq!(names, ["mod", "latelib"]);
+        }
         assert!(v.accepts("ab"));
         assert!(!v.accepts("abcd"));
+    }
+
+    #[test]
+    fn seat_executors_share_no_ast() {
+        let v = late_import_pack()
+            .validator_with_seats(2)
+            .expect("validator");
+        let [a, b] = &v.execs[..] else {
+            panic!("{} executors", v.execs.len());
+        };
+        // A clone would share every file; each seat parses its own.
+        assert!(Arc::ptr_eq(
+            &a.program().clone().files[0],
+            &a.program().files[0]
+        ));
+        assert!(!Arc::ptr_eq(&a.program().files[0], &b.program().files[0]));
+        assert!(!Arc::ptr_eq(&a.program().files[1], &b.program().files[1]));
+    }
+
+    #[test]
+    fn probes_from_both_seats_agree_with_serial_probes() {
+        let v = late_import_pack().validator().expect("validator");
+        let inputs = ["ab", "abcd", "", "abc", "x", "xyz12"];
+        let serial: Vec<(bool, u64)> = inputs.iter().map(|i| v.accepts_with_fuel(i)).collect();
+        let Some(seats) = on_both_seats(|| {
+            inputs
+                .iter()
+                .map(|i| v.accepts_with_fuel(i))
+                .collect::<Vec<_>>()
+        }) else {
+            return;
+        };
+        for probes in seats {
+            assert_eq!(probes, serial);
+        }
     }
 
     #[test]
@@ -751,10 +830,12 @@ mod tests {
             ..sample_pack()
         };
         let v = pack.validator().expect("validator");
+        let probes = || ["a", "b", "a", "cd"].map(|input| v.probe(input, None));
         let first = v.probe("a", None);
         assert!(first.verdict);
-        for input in ["a", "b", "a", "cd"] {
-            assert_eq!(v.probe(input, None), first);
+        assert_eq!(probes(), [first; 4]);
+        for seat in on_both_seats(probes).unwrap_or_default() {
+            assert_eq!(seat, [first; 4]);
         }
     }
 

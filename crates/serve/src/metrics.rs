@@ -145,8 +145,9 @@ pub struct Metrics {
     /// eager `value × pack` sweep would have run but first-match-wins (or
     /// the column threshold math) proved dead.
     pub probes_saved: AtomicU64,
-    /// Kept for perfbench, which reads them: probes share one executor per
-    /// pack, so nothing bumps these and `/metrics` does not export them.
+    /// Kept for perfbench, which reads them: probes share their seat's
+    /// executor of each pack, so nothing bumps these and `/metrics` does
+    /// not export them.
     pub executors_reused: AtomicU64,
     pub executors_cloned: AtomicU64,
     /// Total interpreter fuel burned by uncached probes.

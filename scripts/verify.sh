@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, tier-1 tests, the
 # complete workspace test suite (including the vendored stub crates), the
+# exec and pack unit tests again in the release profile, the
 # paper-fidelity diff of `figures all` against figures_fast_output.txt,
 # perfbench's build and unit tests, and warnings-as-errors clippy and
 # rustdoc passes (the latter catches intra-doc links to moved or deleted
@@ -23,6 +24,11 @@ cargo test -q
 
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
+
+# The crew's spin-then-park hand-off races on timing, so its pool tests
+# and the pack tests that probe from every seat also run optimized.
+echo "== cargo test --release: exec + pack unit tests (optimized timing) =="
+cargo test --release -p autotype-exec -p autotype-pack --lib -q
 
 echo "== serve integration tests (keep-alive, lazy==eager, golden packs) =="
 cargo test -p autotype-serve --test keepalive --test lazy_eager --test golden --test loopback -q
