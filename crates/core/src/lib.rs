@@ -44,7 +44,7 @@ use autotype_exec::{
 };
 use autotype_lang::Program;
 use autotype_negative::{generate_negatives, random_negatives, MutationConfig, Strategy};
-pub use autotype_pack::{load_pack, Pack, PackError, PackValidator};
+pub use autotype_pack::{Pack, PackError, PackValidator};
 use autotype_rank::{rank as rank_methods, FunctionTraces, Method};
 use autotype_search::{union_top_k, Document, Field, Index, SearchEngine};
 use autotype_synth::{

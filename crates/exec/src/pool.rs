@@ -107,6 +107,12 @@ impl ExecPool {
         self.workers
     }
 
+    /// The threads one crew may use, and so the number of crew seats:
+    /// [`workers`](Self::workers) clamped to the machine's parallelism.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Run `work` over every item, in parallel across up to `workers`
     /// threads, and return the results in input order: a
     /// [`crew`](Self::crew) that runs one batch.

@@ -243,10 +243,11 @@ impl Pack {
     }
 
     /// [`validator`](Self::validator) with `seats` executors (at least
-    /// one). Each parses the sources afresh rather than cloning the first:
-    /// a `Program` clone shares every AST `Arc`, so two cores probing it
-    /// would bump the same refcounts on every probe.
-    fn validator_with_seats(&self, seats: usize) -> Result<PackValidator, PackError> {
+    /// one), as many as an [`ExecPool`](autotype_exec::ExecPool) has
+    /// threads. Each parses the sources afresh rather than cloning the
+    /// first: a `Program` clone shares every AST `Arc`, so two cores
+    /// probing it would bump the same refcounts on every probe.
+    pub fn validator_with_seats(&self, seats: usize) -> Result<PackValidator, PackError> {
         let mut packages = PackageIndex::new();
         for (name, source) in &self.packages {
             packages.insert(name, source);
@@ -570,11 +571,6 @@ pub struct Probe {
     pub fuel: u64,
 }
 
-/// Convenience: load a pack file and rehydrate its validator in one step.
-pub fn load_pack(path: &Path) -> Result<PackValidator, PackError> {
-    Pack::load(path)?.validator()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,6 +745,21 @@ mod tests {
         }
         assert!(v.accepts("ab"));
         assert!(!v.accepts("abcd"));
+    }
+
+    #[test]
+    fn one_seat_validator_agrees_with_the_default() {
+        let pack = late_import_pack();
+        let one = pack.validator_with_seats(1).expect("validator");
+        assert_eq!(one.execs.len(), 1);
+        let default = pack.validator().expect("validator");
+        for input in ["ab", "abcd", "", "abc", "x", "xyz12"] {
+            assert_eq!(
+                one.probe(input, None),
+                default.probe(input, None),
+                "{input:?}"
+            );
+        }
     }
 
     #[test]

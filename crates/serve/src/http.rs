@@ -25,8 +25,10 @@
 //! Error responses always close (after a parse failure the request
 //! framing is unknowable, so the socket cannot be trusted for another
 //! round). An idle timeout with *zero* bytes read closes silently — that
-//! is a client choosing not to reuse the connection, not an error — while
-//! a timeout mid-request earns a 408.
+//! is a client choosing not to reuse the connection, not an error. From
+//! its first byte, a whole request must arrive within `READ_TIMEOUT`
+//! (10 s): each read from the socket waits only for the time left, so
+//! trickled bytes cannot hold a handler past the deadline, which earns 408.
 //!
 //! ## Bounded acceptor pool
 //!
@@ -35,17 +37,18 @@
 //! backlog is full, the acceptor sheds the connection inline with a 503
 //! (`autotype_connections_shed_total`) instead of spawning without bound.
 //! Request limits (line length, header count, body size, value count,
-//! read timeout) are enforced before any detection work runs; violations produce 4xx responses with a
-//! JSON error body. Graceful shutdown: a stop flag, a self-connect to
+//! request deadline) are enforced before any detection work runs;
+//! violations produce 4xx responses with a JSON error body. Graceful
+//! shutdown: a stop flag, a self-connect to
 //! unblock `accept`, a closed queue to retire idle handlers, and a bounded
 //! wait for in-flight connections.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
 use crate::metrics::{Metrics, Route};
@@ -66,7 +69,8 @@ const MAX_BODY: usize = 1 << 20;
 /// together); one more is answered with 413.
 const MAX_VALUES: usize = 10_000;
 
-/// Socket read timeout once a request is underway (headers and body).
+/// Time allowed for one whole request (request line, headers and body),
+/// counted from its first byte; running out is answered with 408.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Tunables for the listener; the defaults suit a local deployment.
@@ -302,6 +306,10 @@ enum ReadHalt {
     Respond(Response),
 }
 
+fn respond(status: u16, message: &str) -> ReadHalt {
+    ReadHalt::Respond(Response::error(status, message))
+}
+
 fn handle_connection(stream: TcpStream, runtime: &DetectorRuntime, idle_timeout: Duration) {
     // Persistent connections interact badly with Nagle + delayed ACK
     // (~40 ms stalls per round trip once quickack decays); responses are
@@ -312,100 +320,112 @@ fn handle_connection(stream: TcpStream, runtime: &DetectorRuntime, idle_timeout:
         Err(_) => return,
     });
     loop {
-        // Between requests the clock is the idle timeout; once the request
-        // line lands, `read_request` switches to the in-request timeout.
+        // Between requests the clock is the idle timeout; from a request's
+        // first byte on, `fill` counts down its deadline instead.
         let _ = stream.set_read_timeout(Some(idle_timeout));
-        match read_request(&stream, &mut reader) {
-            Ok((method, path, body, client_keep_alive)) => {
-                let response = route(runtime, &method, &path, &body);
-                if response.is_error() {
-                    Metrics::bump(&runtime.metrics().http_errors);
-                }
-                Metrics::bump(&runtime.metrics().requests_total);
-                let keep_alive = client_keep_alive && !response.is_error();
-                write_response(&stream, &response, keep_alive);
-                if !keep_alive {
-                    return;
-                }
+        let (response, keep_alive) = match read_request(&mut reader) {
+            Ok((method, path, body, keep_alive)) => {
+                (route(runtime, &method, &path, &body), keep_alive)
             }
+            Err(ReadHalt::Respond(response)) => (response, false),
             Err(ReadHalt::Silent) => return,
-            Err(ReadHalt::Respond(response)) => {
-                Metrics::bump(&runtime.metrics().http_errors);
-                Metrics::bump(&runtime.metrics().requests_total);
-                write_response(&stream, &response, false);
-                return;
-            }
+        };
+        if response.is_error() {
+            Metrics::bump(&runtime.metrics().http_errors);
+        }
+        Metrics::bump(&runtime.metrics().requests_total);
+        let keep_alive = keep_alive && !response.is_error();
+        write_response(&stream, &response, keep_alive);
+        if !keep_alive {
+            return;
         }
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Read one line, line ending included, of at most [`MAX_LINE`] bytes
-/// into `line`; empty at end of input. Bytes read before an error stay in
-/// `line`.
-fn read_line_capped(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>) -> std::io::Result<()> {
-    reader
-        .by_ref()
-        .take(MAX_LINE as u64)
-        .read_until(b'\n', line)
-        .map(drop)
-}
-
-/// The text of a line from [`read_line_capped`]: 431 if it hit the cap
-/// before its line ending, 400 if it is not UTF-8.
-fn line_text(line: Vec<u8>) -> Result<String, ReadHalt> {
-    if line.len() == MAX_LINE && line.last() != Some(&b'\n') {
-        return Err(ReadHalt::Respond(Response::error(431, "line too long")));
+/// The bytes buffered for the request, read from the socket if none are.
+/// Before the request's first byte (`deadline` is `None`) the socket keeps
+/// the idle timeout, and end of input or a timeout closes silently; that
+/// byte starts the [`READ_TIMEOUT`] deadline, and each later read from the
+/// socket waits only for the time left. Empty at end of input once the
+/// request has begun; a timeout then answers 408, and any other read error
+/// 400 naming `part`.
+fn fill<'r>(
+    reader: &'r mut BufReader<TcpStream>,
+    deadline: &mut Option<Instant>,
+    part: &str,
+) -> Result<&'r [u8], ReadHalt> {
+    if let (Some(deadline), true) = (*deadline, reader.buffer().is_empty()) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(respond(408, "read timeout"));
+        }
+        let _ = reader.get_ref().set_read_timeout(Some(left));
     }
-    String::from_utf8(line)
-        .map_err(|_| ReadHalt::Respond(Response::error(400, "request is not UTF-8")))
+    let buf = match reader.fill_buf() {
+        Ok(buf) => buf,
+        Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            return Err(respond(400, &format!("unreadable {part}")))
+        }
+        Err(_) if deadline.is_some() => return Err(respond(408, "read timeout")),
+        Err(_) => return Err(ReadHalt::Silent),
+    };
+    if deadline.is_none() {
+        if buf.is_empty() {
+            return Err(ReadHalt::Silent);
+        }
+        *deadline = Some(Instant::now() + READ_TIMEOUT);
+    }
+    Ok(buf)
 }
 
-/// Parse one request: request line, headers, body. Returns the method,
-/// path, body, and whether the client wants the connection kept alive.
+/// Read one line of `part` of the request, line ending included, as text.
+/// A line cut short by end of input is returned as it is; end of input
+/// before any byte of a header line answers 400, a line of more than
+/// [`MAX_LINE`] bytes 431, and one that is not UTF-8 400. See [`fill`] for
+/// timeouts and read errors.
+fn read_line(
+    reader: &mut BufReader<TcpStream>,
+    deadline: &mut Option<Instant>,
+    part: &str,
+) -> Result<String, ReadHalt> {
+    let mut line = Vec::new();
+    loop {
+        let buf = fill(reader, deadline, part)?;
+        if buf.is_empty() {
+            if line.is_empty() {
+                return Err(respond(400, &format!("truncated {part}")));
+            }
+            break;
+        }
+        let buf = &buf[..buf.len().min(MAX_LINE - line.len())];
+        let end = buf.iter().position(|&b| b == b'\n');
+        let n = end.map_or(buf.len(), |i| i + 1);
+        line.extend_from_slice(&buf[..n]);
+        reader.consume(n);
+        if end.is_some() {
+            break;
+        }
+        if line.len() == MAX_LINE {
+            return Err(respond(431, "line too long"));
+        }
+    }
+    String::from_utf8(line).map_err(|_| respond(400, "request is not UTF-8"))
+}
+
+/// Parse one request: request line, headers, body, all within
+/// [`READ_TIMEOUT`] of its first byte. Returns the method, path, body, and
+/// whether the client wants the connection kept alive.
 fn read_request(
-    stream: &TcpStream,
     reader: &mut BufReader<TcpStream>,
 ) -> Result<(String, String, String, bool), ReadHalt> {
-    let mut raw = Vec::new();
-    match read_line_capped(reader, &mut raw) {
-        Ok(()) if raw.is_empty() => return Err(ReadHalt::Silent),
-        Ok(()) => {}
-        Err(e) if is_timeout(&e) => {
-            // No bytes yet → the connection idled out; partial line → the
-            // client stalled mid-request.
-            return if raw.is_empty() {
-                Err(ReadHalt::Silent)
-            } else {
-                Err(ReadHalt::Respond(Response::error(408, "read timeout")))
-            };
-        }
-        Err(_) => {
-            return Err(ReadHalt::Respond(Response::error(
-                400,
-                "unreadable request",
-            )))
-        }
-    }
-    let line = line_text(raw)?;
-    // The request is underway: switch to the (usually longer) in-request
-    // read timeout for headers and body.
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let mut deadline = None;
+    let line = read_line(reader, &mut deadline, "request")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     let version = parts.next().unwrap_or("HTTP/1.1");
     if method.is_empty() || path.is_empty() {
-        return Err(ReadHalt::Respond(Response::error(
-            400,
-            "malformed request line",
-        )));
+        return Err(respond(400, "malformed request line"));
     }
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 must opt in.
     let mut keep_alive = version != "HTTP/1.0";
@@ -413,37 +433,21 @@ fn read_request(
     let mut content_length = 0usize;
     let mut headers = 0;
     loop {
-        let mut raw = Vec::new();
-        match read_line_capped(reader, &mut raw) {
-            Ok(()) if raw.is_empty() => {
-                return Err(ReadHalt::Respond(Response::error(400, "truncated headers")))
-            }
-            Ok(()) => {}
-            Err(e) if is_timeout(&e) => {
-                return Err(ReadHalt::Respond(Response::error(408, "read timeout")))
-            }
-            Err(_) => {
-                return Err(ReadHalt::Respond(Response::error(
-                    400,
-                    "unreadable headers",
-                )))
-            }
-        }
-        let header = line_text(raw)?;
+        let header = read_line(reader, &mut deadline, "headers")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
         headers += 1;
         if headers > MAX_HEADERS {
-            return Err(ReadHalt::Respond(Response::error(431, "too many headers")));
+            return Err(respond(431, "too many headers"));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value
                     .trim()
                     .parse()
-                    .map_err(|_| ReadHalt::Respond(Response::error(400, "bad content-length")))?;
+                    .map_err(|_| respond(400, "bad content-length"))?;
             } else if name.eq_ignore_ascii_case("connection") {
                 for token in value.split(',') {
                     let token = token.trim();
@@ -457,42 +461,29 @@ fn read_request(
         }
     }
     if content_length > MAX_BODY {
-        return Err(ReadHalt::Respond(Response::error(
-            413,
-            "request body too large",
-        )));
+        return Err(respond(413, "request body too large"));
     }
 
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).map_err(|e| {
-            if is_timeout(&e) {
-                ReadHalt::Respond(Response::error(408, "read timeout"))
-            } else {
-                ReadHalt::Respond(Response::error(400, "truncated body"))
-            }
-        })?;
+    let mut body = Vec::with_capacity(content_length);
+    while body.len() < content_length {
+        let buf = fill(reader, &mut deadline, "body")?;
+        if buf.is_empty() {
+            return Err(respond(400, "truncated body"));
+        }
+        let n = buf.len().min(content_length - body.len());
+        body.extend_from_slice(&buf[..n]);
+        reader.consume(n);
     }
-    let body = String::from_utf8(body)
-        .map_err(|_| ReadHalt::Respond(Response::error(400, "body is not UTF-8")))?;
+    let body = String::from_utf8(body).map_err(|_| respond(400, "body is not UTF-8"))?;
     Ok((method, path, body, keep_alive))
 }
 
 fn route(runtime: &DetectorRuntime, method: &str, path: &str, body: &str) -> Response {
     let m = runtime.metrics();
     match (method, path) {
-        ("POST", "/detect") => {
-            m.bump_route(Route::Detect);
-            detect_endpoint(runtime, body)
-        }
-        ("POST", "/detect/column") => {
-            m.bump_route(Route::DetectColumn);
-            detect_column_endpoint(runtime, body)
-        }
-        ("POST", "/detect/table") => {
-            m.bump_route(Route::DetectTable);
-            detect_table_endpoint(runtime, body)
-        }
+        ("POST", "/detect") => detect(runtime, Route::Detect, body),
+        ("POST", "/detect/column") => detect(runtime, Route::DetectColumn, body),
+        ("POST", "/detect/table") => detect(runtime, Route::DetectTable, body),
         ("GET", "/healthz") => {
             m.bump_route(Route::Healthz);
             Response::json(
@@ -557,6 +548,28 @@ fn parse_values(parsed: &Json) -> Result<Vec<String>, Response> {
     string_values(values)
 }
 
+/// Pull `"columns": [["…", …], …]` out of a parsed request body, checked
+/// column by column: shape, then the running value count, then strings.
+fn parse_table(parsed: &Json) -> Result<Vec<Vec<String>>, Response> {
+    let raw = parsed
+        .get("columns")
+        .and_then(Json::as_array)
+        .ok_or_else(|| Response::error(400, "expected \"columns\": [[…], …]"))?;
+    let mut total = 0usize;
+    raw.iter()
+        .map(|col| {
+            let items = col
+                .as_array()
+                .ok_or_else(|| Response::error(400, "each column must be an array of strings"))?;
+            total += items.len();
+            if total > MAX_VALUES {
+                return Err(Response::error(413, "too many values"));
+            }
+            string_values(items)
+        })
+        .collect()
+}
+
 fn string_values(items: &[Json]) -> Result<Vec<String>, Response> {
     items
         .iter()
@@ -569,110 +582,63 @@ fn string_values(items: &[Json]) -> Result<Vec<String>, Response> {
 }
 
 fn pack_fields(runtime: &DetectorRuntime, pack: Option<usize>) -> String {
-    match pack {
-        Some(pi) => {
-            let p = &runtime.packs()[pi];
-            format!(
-                "{},{}",
-                json::str_field("type", Some(p.slug())),
-                json::str_field("pack", Some(p.pack_id()))
-            )
-        }
-        None => format!(
-            "{},{}",
-            json::str_field("type", None),
-            json::str_field("pack", None)
-        ),
-    }
-}
-
-fn detect_endpoint(runtime: &DetectorRuntime, body: &str) -> Response {
-    let parsed = match json::parse(body) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
-    };
-    let (values, max_fuel) = match (parse_values(&parsed), parse_max_fuel(&parsed)) {
-        (Ok(v), Ok(f)) => (v, f),
-        (Err(resp), _) | (_, Err(resp)) => return resp,
-    };
-    let columns: Vec<&[String]> = values.iter().map(std::slice::from_ref).collect();
-    let verdicts = runtime.detect_columns(&columns, max_fuel);
-    let results: Vec<String> = values
-        .iter()
-        .zip(&verdicts)
-        .map(|(value, pack)| {
-            format!(
-                "{{{},{}}}",
-                json::str_field("value", Some(value)),
-                pack_fields(runtime, *pack)
-            )
-        })
-        .collect();
-    Response::json(200, format!("{{\"results\":[{}]}}", results.join(",")))
-}
-
-fn detect_column_endpoint(runtime: &DetectorRuntime, body: &str) -> Response {
-    let parsed = match json::parse(body) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
-    };
-    let (values, max_fuel) = match (parse_values(&parsed), parse_max_fuel(&parsed)) {
-        (Ok(v), Ok(f)) => (v, f),
-        (Err(resp), _) | (_, Err(resp)) => return resp,
-    };
-    let pack = runtime.detect_columns(&[&values], max_fuel)[0];
-    Response::json(
-        200,
-        format!(
-            "{{{},\"values\":{}}}",
-            pack_fields(runtime, pack),
-            values.len()
-        ),
+    let pack = pack.map(|pi| &runtime.packs()[pi]);
+    format!(
+        "{},{}",
+        json::str_field("type", pack.map(|p| p.slug())),
+        json::str_field("pack", pack.map(|p| p.pack_id()))
     )
 }
 
-fn detect_table_endpoint(runtime: &DetectorRuntime, body: &str) -> Response {
-    let parsed = match json::parse(body) {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
+/// The one `/detect*` handler; `route` picks the body's shape:
+///
+/// - `Route::Detect`: each value is a one-value column, answered per value;
+/// - `Route::DetectColumn`: the values are one column;
+/// - `Route::DetectTable`: the columns are given, answered per column.
+///
+/// A body is checked in one order on every route: JSON, then `"max_fuel"`,
+/// then the values.
+fn detect(runtime: &DetectorRuntime, route: Route, body: &str) -> Response {
+    runtime.metrics().bump_route(route);
+    let request = json::parse(body)
+        .map_err(|e| Response::error(400, &format!("bad JSON: {e}")))
+        .and_then(|parsed| {
+            let max_fuel = parse_max_fuel(&parsed)?;
+            let columns = match route {
+                Route::DetectTable => parse_table(&parsed)?,
+                _ => vec![parse_values(&parsed)?],
+            };
+            Ok((columns, max_fuel))
+        });
+    let (columns, max_fuel) = match request {
+        Ok(request) => request,
+        Err(response) => return response,
     };
-    let max_fuel = match parse_max_fuel(&parsed) {
-        Ok(f) => f,
-        Err(resp) => return resp,
+    let columns: Vec<&[String]> = match route {
+        Route::Detect => columns[0].iter().map(std::slice::from_ref).collect(),
+        _ => columns.iter().map(Vec::as_slice).collect(),
     };
-    let raw = match parsed.get("columns").and_then(Json::as_array) {
-        Some(cols) => cols,
-        None => return Response::error(400, "expected \"columns\": [[…], …]"),
-    };
-    let mut columns: Vec<Vec<String>> = Vec::with_capacity(raw.len());
-    let mut total = 0usize;
-    for col in raw {
-        let items = match col.as_array() {
-            Some(items) => items,
-            None => return Response::error(400, "each column must be an array of strings"),
-        };
-        total += items.len();
-        if total > MAX_VALUES {
-            return Response::error(413, "too many values");
-        }
-        match string_values(items) {
-            Ok(v) => columns.push(v),
-            Err(resp) => return resp,
-        }
-    }
-    let verdicts = runtime.detect_table(&columns, max_fuel);
-    let results: Vec<String> = columns
+    let verdicts = runtime.detect_columns(&columns, max_fuel);
+    let items: Vec<String> = columns
         .iter()
-        .zip(&verdicts)
-        .map(|(col, pack)| {
-            format!(
-                "{{{},\"values\":{}}}",
-                pack_fields(runtime, *pack),
-                col.len()
-            )
+        .zip(verdicts)
+        .map(|(column, pack)| {
+            let fields = pack_fields(runtime, pack);
+            match route {
+                Route::Detect => format!(
+                    "{{{},{fields}}}",
+                    json::str_field("value", Some(&column[0]))
+                ),
+                _ => format!("{{{fields},\"values\":{}}}", column.len()),
+            }
         })
         .collect();
-    Response::json(200, format!("{{\"columns\":[{}]}}", results.join(",")))
+    let body = match route {
+        Route::Detect => format!("{{\"results\":[{}]}}", items.join(",")),
+        Route::DetectTable => format!("{{\"columns\":[{}]}}", items.join(",")),
+        _ => items.concat(),
+    };
+    Response::json(200, body)
 }
 
 fn write_response(mut stream: &TcpStream, response: &Response, keep_alive: bool) {

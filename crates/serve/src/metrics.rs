@@ -84,8 +84,19 @@ impl PackMetrics {
         }
     }
 
+    /// The pack's labels, their values escaped as the text exposition
+    /// format requires.
     fn labels(&self) -> String {
-        format!("pack=\"{}\",slug=\"{}\"", self.pack_id, self.slug)
+        let escape = |v: &str| {
+            v.replace('\\', r"\\")
+                .replace('"', r#"\""#)
+                .replace('\n', r"\n")
+        };
+        format!(
+            "pack=\"{}\",slug=\"{}\"",
+            escape(&self.pack_id),
+            escape(&self.slug)
+        )
     }
 }
 
@@ -309,6 +320,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn histogram_buckets_are_cumulative_in_render() {
@@ -363,30 +375,162 @@ mod tests {
         assert!(text.contains("autotype_cache_entries 7"));
         assert!(text.contains("autotype_pack_probe_latency_us_count"));
 
-        // Every family has exactly one HELP and one TYPE line, the HELP
-        // right before the TYPE, and both come before its first sample.
-        let lines: Vec<&str> = text.lines().collect();
-        let mut kind = std::collections::HashMap::new();
-        for (i, line) in lines.iter().enumerate() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let (name, k) = rest.split_once(' ').unwrap();
-                assert!(kind.insert(name, k).is_none(), "second TYPE for {name}");
-                assert!(lines[i - 1].starts_with(&format!("# HELP {name} ")));
-            } else if !line.starts_with('#') {
-                let series = line.split(['{', ' ']).next().unwrap();
-                let family = ["_bucket", "_sum", "_count"]
-                    .iter()
-                    .find_map(|s| series.strip_suffix(s))
-                    .filter(|f| kind.get(f) == Some(&"histogram"))
-                    .unwrap_or(series);
-                assert!(kind.contains_key(family), "no TYPE before {line}");
-            }
-        }
-        let helps = lines.iter().filter(|l| l.starts_with("# HELP ")).count();
-        assert_eq!(helps, kind.len(), "one HELP per family");
+        let kind = families(&text);
         assert_eq!(kind["autotype_cache_entries"], "gauge");
         assert_eq!(kind["autotype_pack_probes_total"], "counter");
         assert_eq!(kind["autotype_pack_accepts_total"], "counter");
         assert_eq!(kind["autotype_pack_probe_latency_us"], "histogram");
+    }
+
+    /// Label names and unescaped values, in order.
+    type Labels = Vec<(String, String)>;
+
+    /// One parsed sample line: series name, labels, value.
+    type Sample = (String, Labels, f64);
+
+    fn is_name(name: &str, colons: bool) -> bool {
+        let ok = |c: char, first: bool| {
+            c == '_'
+                || c.is_ascii_alphabetic()
+                || (colons && c == ':')
+                || (!first && c.is_ascii_digit())
+        };
+        let mut chars = name.chars();
+        chars.next().is_some_and(|c| ok(c, true)) && chars.all(|c| ok(c, false))
+    }
+
+    /// Parse `name{label="value",…} value` as the text exposition format
+    /// defines it, or `None`.
+    fn parse_sample(line: &str) -> Option<Sample> {
+        let end = line.find(['{', ' '])?;
+        let (name, mut rest) = line.split_at(end);
+        let mut labels = Vec::new();
+        if let Some(after) = rest.strip_prefix('{') {
+            rest = after;
+            while let Some((label, after)) = rest.split_once("=\"") {
+                let mut value = String::new();
+                let mut chars = after.char_indices();
+                let close = loop {
+                    match chars.next()? {
+                        (i, '"') => break i,
+                        (_, '\\') => value.push(match chars.next()?.1 {
+                            '\\' => '\\',
+                            '"' => '"',
+                            'n' => '\n',
+                            _ => return None,
+                        }),
+                        (_, c) => value.push(c),
+                    }
+                };
+                if !is_name(label, false) {
+                    return None;
+                }
+                labels.push((label.to_string(), value));
+                rest = &after[close + 1..];
+                rest = rest.strip_prefix(',').unwrap_or(rest);
+            }
+            rest = rest.strip_prefix('}')?;
+        }
+        let value = rest.strip_prefix(' ')?.parse().ok()?;
+        is_name(name, true).then(|| (name.to_string(), labels, value))
+    }
+
+    /// Check all of `text` against the exposition format and return each
+    /// family's type: valid names; one HELP, then one TYPE, per family
+    /// before its first sample; and per histogram series, cumulative
+    /// `_bucket`s with rising bounds that end in `le="+Inf"` and equal
+    /// `_count`.
+    fn families(text: &str) -> HashMap<String, String> {
+        let mut kind = HashMap::new();
+        let mut lines = text.lines();
+        // Per histogram series (family, labels without `le`): its buckets.
+        let mut buckets: HashMap<(String, Labels), Vec<(f64, f64)>> = HashMap::new();
+        let mut counts = HashMap::new();
+        while let Some(line) = lines.next() {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let name = rest.split(' ').next().unwrap();
+                let next = lines.next().unwrap_or_default();
+                let (typed, k) = next
+                    .strip_prefix("# TYPE ")
+                    .and_then(|t| t.split_once(' '))
+                    .unwrap_or_else(|| panic!("no TYPE after HELP {name}: {next:?}"));
+                assert_eq!(typed, name, "{next}");
+                assert!(is_name(name, true), "family name {name:?}");
+                assert!(["counter", "gauge", "histogram"].contains(&k), "{next}");
+                assert!(
+                    kind.insert(name.to_string(), k.to_string()).is_none(),
+                    "second HELP for {name}"
+                );
+                continue;
+            }
+            let (series, mut labels, value) =
+                parse_sample(line).unwrap_or_else(|| panic!("malformed line {line:?}"));
+            let histogram = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| Some((*suffix, series.strip_suffix(suffix)?)))
+                .filter(|(_, f)| kind.get(*f).is_some_and(|k| k == "histogram"));
+            let Some((suffix, family)) = histogram else {
+                assert!(kind.contains_key(&series), "no TYPE before {line:?}");
+                continue;
+            };
+            let key = |labels| (family.to_string(), labels);
+            if suffix == "_bucket" {
+                let (le, bound) = labels.pop().expect("bucket without labels");
+                assert_eq!(le, "le", "{line}");
+                let bound = if bound == "+Inf" {
+                    f64::INFINITY
+                } else {
+                    bound.parse().unwrap()
+                };
+                buckets.entry(key(labels)).or_default().push((bound, value));
+            } else if suffix == "_count" {
+                counts.insert(key(labels), value);
+            }
+        }
+        assert!(!buckets.is_empty());
+        for (series, buckets) in &buckets {
+            for pair in buckets.windows(2) {
+                assert!(
+                    pair[0].0 < pair[1].0 && pair[0].1 <= pair[1].1,
+                    "{series:?}: {pair:?}"
+                );
+            }
+            let (bound, total) = *buckets.last().unwrap();
+            assert_eq!(bound, f64::INFINITY, "{series:?} does not end in +Inf");
+            assert_eq!(
+                Some(&total),
+                counts.get(series),
+                "{series:?}: +Inf bucket vs _count"
+            );
+        }
+        kind
+    }
+
+    #[test]
+    fn render_is_well_formed_and_escapes_label_values() {
+        let slug = "we\"ird\\sl\nug";
+        let m = Metrics::new(&[
+            (format!("{slug}-abc"), slug.to_string()),
+            ("ip-def".into(), "ipv6".into()),
+        ]);
+        Metrics::bump(&m.per_pack[0].probes);
+        for us in [3, 42, 70, 1_000_000] {
+            m.per_pack[0].latency.record_us(us);
+        }
+        m.per_pack[1].latency.record_us(7);
+        let text = m.render(3);
+        families(&text);
+        let probes: Vec<Sample> = text
+            .lines()
+            .filter(|l| l.starts_with("autotype_pack_probes_total{"))
+            .filter_map(parse_sample)
+            .collect();
+        let expected = vec![
+            ("pack".to_string(), format!("{slug}-abc")),
+            ("slug".to_string(), slug.to_string()),
+        ];
+        assert_eq!(probes[0].1, expected, "{text}");
+        assert_eq!(probes[0].2, 1.0);
+        assert_eq!(probes.len(), 2, "{text}");
     }
 }

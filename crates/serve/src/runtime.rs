@@ -41,7 +41,7 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use autotype_exec::ExecPool;
-use autotype_pack::{load_pack, PackError, PackValidator, PACK_EXTENSION};
+use autotype_pack::{Pack, PackError, PackValidator, PACK_EXTENSION};
 use autotype_tables::detect_columns;
 
 use crate::cache::ShardedLru;
@@ -88,9 +88,11 @@ impl DetectorRuntime {
             .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(PACK_EXTENSION))
             .collect();
         paths.sort();
+        // One seat executor per thread the pool's crews can use.
+        let seats = ExecPool::new(workers).threads();
         let packs = paths
             .iter()
-            .map(|p| load_pack(p))
+            .map(|p| Pack::load(p)?.validator_with_seats(seats))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self::from_packs(packs, workers, cache_capacity))
     }
@@ -112,9 +114,19 @@ impl DetectorRuntime {
         self.pool.workers()
     }
 
-    /// One uncached `(pack, value)` probe, with full metric accounting. This is the only place the
-    /// runtime executes probes.
-    fn probe_uncached(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
+    /// One `(pack, value)` verdict, with full metric accounting: the only
+    /// place the runtime executes probes. A fuel ceiling below the pack
+    /// budget bypasses the cache (see the module docs); any other probe
+    /// reads the cache first and writes its verdict back.
+    fn probe(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
+        let cached = max_fuel.is_none_or(|cap| cap >= self.packs[pack].fuel_budget());
+        if cached {
+            if let Some(verdict) = self.cache.get(pack, value) {
+                Metrics::bump(&self.metrics.cache_hits);
+                return verdict;
+            }
+            Metrics::bump(&self.metrics.cache_misses);
+        }
         let start = Instant::now();
         let probe = self.packs[pack].probe(value, max_fuel);
         let pm = &self.metrics.per_pack[pack];
@@ -126,24 +138,10 @@ impl DetectorRuntime {
         self.metrics
             .fuel_spent
             .fetch_add(probe.fuel, Ordering::Relaxed);
+        if cached {
+            self.cache.put(pack, value, probe.verdict);
+        }
         probe.verdict
-    }
-
-    /// One `(pack, value)` verdict through the cache, with an optional fuel
-    /// ceiling. Ceilings below the pack budget bypass the cache (see the
-    /// module docs).
-    fn probe_capped(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
-        if max_fuel.is_some_and(|cap| cap < self.packs[pack].fuel_budget()) {
-            return self.probe_uncached(pack, value, max_fuel);
-        }
-        if let Some(verdict) = self.cache.get(pack, value) {
-            Metrics::bump(&self.metrics.cache_hits);
-            return verdict;
-        }
-        Metrics::bump(&self.metrics.cache_misses);
-        let verdict = self.probe_uncached(pack, value, None);
-        self.cache.put(pack, value, verdict);
-        verdict
     }
 
     /// Detect a single value: first pack (in priority order) that accepts.
@@ -195,7 +193,7 @@ impl DetectorRuntime {
             .fetch_add(total as u64, Ordering::Relaxed);
         let npacks = self.packs.len();
         let (found, issued) = detect_columns(columns, npacks, &self.pool, |pi, v| {
-            self.probe_capped(pi, v, max_fuel)
+            self.probe(pi, v, max_fuel)
         });
         self.metrics
             .probes_saved
@@ -209,7 +207,6 @@ mod tests {
     use super::*;
     use autotype_exec::{EntryPoint, Literal};
     use autotype_lang::{SiteId, ValueSummary};
-    use autotype_pack::Pack;
 
     /// A pack whose DNF-E is just the synthetic black-box literal "the
     /// function returned True" — robust to branch-site numbering, so the

@@ -128,7 +128,9 @@ fn regenerate() {
     for (name, pack) in fixture_packs() {
         let path = dir.join(&name);
         pack.save(&path).expect("serialize fixture");
-        let loaded = autotype_pack::load_pack(&path).expect("reload fixture");
+        let loaded = Pack::load(&path)
+            .and_then(|pack| pack.validator())
+            .expect("reload fixture");
         println!("{name}: pack_id = {}", loaded.pack_id());
     }
 }

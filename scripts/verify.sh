@@ -30,8 +30,9 @@ cargo test --workspace -q
 echo "== cargo test --release: exec + pack unit tests (optimized timing) =="
 cargo test --release -p autotype-exec -p autotype-pack --lib -q
 
-echo "== serve integration tests (keep-alive, lazy==eager, golden packs) =="
-cargo test -p autotype-serve --test keepalive --test lazy_eager --test golden --test loopback -q
+# Every autotype-serve test target, so a new test file cannot be left out.
+echo "== autotype-serve: every test target =="
+cargo test -p autotype-serve --tests -q
 
 # `figures all` is deterministic (fuel, not wall clock, drives every
 # number), so any drift in the paper's tables shows up as a diff. A change
