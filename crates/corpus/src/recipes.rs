@@ -13,7 +13,7 @@ use crate::pylite;
 use crate::snippets;
 use crate::wrap;
 use autotype_typesys::gen as pools;
-use autotype_typesys::{by_slug, SemanticType};
+use autotype_typesys::SemanticType;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -584,9 +584,4 @@ pub fn snippet_files_for(ty: &SemanticType, seed: u64) -> Vec<SnippetFile> {
         }
     }
     files
-}
-
-/// Sanity helper used by tests: the ground-truth validator for a slug.
-pub fn oracle(slug: &str) -> fn(&str) -> bool {
-    by_slug(slug).expect("known slug").validate
 }

@@ -142,7 +142,60 @@ pub fn group_literals(input: &CoverInput) -> Vec<Vec<LitId>> {
 /// within the negative budget — the signal Algorithm 2 (negative-example
 /// generation) uses to escalate to the next mutation strategy.
 pub fn best_k_concise_cover(input: &CoverInput, params: &CoverParams) -> Option<DnfCover> {
-    solve(input, params, params.k)
+    let groups = group_literals(input);
+    let pos_mask = input.pos_mask();
+    let neg_mask = input.neg_mask();
+    let neg_budget = (params.theta * input.n_neg as f64).floor() as usize;
+
+    // Candidate set S: one representative per group, keeping only groups
+    // that cover at least one positive example, capped by positive coverage.
+    let mut reps: Vec<LitId> = groups
+        .iter()
+        .map(|g| g[0])
+        .filter(|l| input.coverage[*l].intersection_count(&pos_mask) > 0)
+        .collect();
+    reps.sort_by_key(|l| {
+        let cov = &input.coverage[*l];
+        (
+            std::cmp::Reverse(cov.intersection_count(&pos_mask)),
+            cov.intersection_count(&neg_mask),
+            *l,
+        )
+    });
+    reps.truncate(MAX_GROUPS);
+
+    // Enumerate conjunctions up to k literals (the set L in Algorithm 1).
+    let mut candidates: Vec<(Conjunction, BitSet)> = Vec::new();
+    let mut stack: Vec<LitId> = Vec::new();
+    enumerate(
+        &reps,
+        0,
+        params.k.min(reps.len()),
+        &mut stack,
+        &mut |lits: &[LitId]| {
+            let mut cov = input.coverage[lits[0]].clone();
+            for l in &lits[1..] {
+                cov.intersect_with(&input.coverage[*l]);
+            }
+            if cov.intersection_count(&pos_mask) > 0 {
+                candidates.push((
+                    Conjunction {
+                        literals: lits.to_vec(),
+                    },
+                    cov,
+                ));
+            }
+        },
+    );
+    greedy_select(
+        candidates,
+        &pos_mask,
+        &neg_mask,
+        neg_budget,
+        input,
+        groups,
+        params.max_conjunctions,
+    )
 }
 
 /// The DNF-C baseline (§8.1): Definition 3 without the k-conciseness
@@ -177,65 +230,6 @@ pub fn best_cover_complete(input: &CoverInput, params: &CoverParams) -> Option<D
             candidates.push((conj, cov));
         }
     }
-    greedy_select(
-        candidates,
-        &pos_mask,
-        &neg_mask,
-        neg_budget,
-        input,
-        groups,
-        params.max_conjunctions,
-    )
-}
-
-fn solve(input: &CoverInput, params: &CoverParams, k: usize) -> Option<DnfCover> {
-    let universe = input.universe();
-    let groups = group_literals(input);
-    let pos_mask = input.pos_mask();
-    let neg_mask = input.neg_mask();
-    let neg_budget = (params.theta * input.n_neg as f64).floor() as usize;
-
-    // Candidate set S: one representative per group, keeping only groups
-    // that cover at least one positive example, capped by positive coverage.
-    let mut reps: Vec<LitId> = groups
-        .iter()
-        .map(|g| g[0])
-        .filter(|l| input.coverage[*l].intersection_count(&pos_mask) > 0)
-        .collect();
-    reps.sort_by_key(|l| {
-        let cov = &input.coverage[*l];
-        (
-            std::cmp::Reverse(cov.intersection_count(&pos_mask)),
-            cov.intersection_count(&neg_mask),
-            *l,
-        )
-    });
-    reps.truncate(MAX_GROUPS);
-
-    // Enumerate conjunctions up to k literals (the set L in Algorithm 1).
-    let mut candidates: Vec<(Conjunction, BitSet)> = Vec::new();
-    let mut stack: Vec<LitId> = Vec::new();
-    enumerate(
-        &reps,
-        0,
-        k.min(reps.len()),
-        &mut stack,
-        &mut |lits: &[LitId]| {
-            let mut cov = input.coverage[lits[0]].clone();
-            for l in &lits[1..] {
-                cov.intersect_with(&input.coverage[*l]);
-            }
-            if cov.intersection_count(&pos_mask) > 0 {
-                candidates.push((
-                    Conjunction {
-                        literals: lits.to_vec(),
-                    },
-                    cov,
-                ));
-            }
-        },
-    );
-    let _ = universe;
     greedy_select(
         candidates,
         &pos_mask,

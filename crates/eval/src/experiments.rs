@@ -10,7 +10,7 @@ use autotype_tables::{
     generate_columns, infer_pattern, score_type, Detection, InferredPattern, SyncValueDetector,
     TableConfig, TypeOutcome, PAPER_TYPE_COUNTS,
 };
-use autotype_typesys::{by_slug, popular_types, registry, Coverage, SemanticType};
+use autotype_typesys::{by_slug, popular_types, SemanticType};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -553,15 +553,7 @@ pub fn table3(engine: &AutoType, cfg: &EvalConfig) -> Vec<(&'static str, Vec<Str
     out
 }
 
-/// Returns the benchmark types filtered to a coverage class, or a named
-/// subset by slug (test convenience).
-pub fn types_by_coverage(coverage: Coverage) -> Vec<&'static SemanticType> {
-    registry()
-        .iter()
-        .filter(|t| t.coverage == coverage)
-        .collect()
-}
-
+/// The benchmark types named by `slugs`, in that order.
 pub fn types_by_slugs(slugs: &[&str]) -> Vec<&'static SemanticType> {
     slugs
         .iter()

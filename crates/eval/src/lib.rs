@@ -13,8 +13,7 @@ pub mod relevance;
 
 pub use experiments::{
     fig10c, fig12, fig14, fig8, fig9, sensitivity_examples, table2, table2_full, table3,
-    types_by_coverage, types_by_slugs, CoverageReport, EvalConfig, MethodQuality, Table2Output,
-    Table2Row,
+    types_by_slugs, CoverageReport, EvalConfig, MethodQuality, Table2Output, Table2Row,
 };
 pub use metrics::{dcg, mean, ndcg, precision_at_k, relative_recall};
 pub use relevance::{relevance, top_k_relevances, Holdout};

@@ -1,5 +1,6 @@
-//! Trace featurization (§5.2): each branch/return/exception event becomes a
-//! binary literal, and each execution is reduced to a *set* of literals
+//! Trace featurization (§5.2): each branch/return event, and the exception
+//! that escaped the run, becomes a binary literal, and each execution is
+//! reduced to a *set* of literals
 //! ("we find that for function ranking, the set-based featurization is
 //! already expressive enough").
 
@@ -56,25 +57,18 @@ impl std::fmt::Display for Literal {
     }
 }
 
-/// The set-based featurization `T(e)` of one execution trace. Interned
-/// exception kinds are resolved through the trace's own table, so literals
-/// from different programs (different intern orders) stay comparable.
+/// The set-based featurization `T(e)` of one execution trace: one literal
+/// per event, plus one for the escaping exception.
 pub fn featurize(trace: &Trace) -> BTreeSet<Literal> {
     let mut out = BTreeSet::new();
     for event in &trace.events {
-        out.insert(match event {
-            TraceEvent::Branch { site, taken } => Literal::Branch {
-                site: *site,
-                taken: *taken,
-            },
-            TraceEvent::Return { site, value } => Literal::Ret {
-                site: *site,
-                value: *value,
-            },
-            TraceEvent::Exception { kind } => Literal::Exception {
-                kind: trace.exc.name(*kind).to_string(),
-            },
+        out.insert(match *event {
+            TraceEvent::Branch { site, taken } => Literal::Branch { site, taken },
+            TraceEvent::Return { site, value } => Literal::Ret { site, value },
         });
+    }
+    if let Some(kind) = &trace.exception {
+        out.insert(Literal::Exception { kind: kind.clone() });
     }
     out
 }

@@ -52,8 +52,8 @@ impl PackageIndex {
 /// Result of one traced run of a candidate on one input.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// Branch / return / exception events from the run (plus the table
-    /// resolving interned exception kinds).
+    /// Branch / return events from the run, and the kind of the exception
+    /// that escaped it.
     pub trace: Trace,
     /// The top-level result (error kind if the run failed).
     pub result: Result<Value, PyError>,
@@ -236,7 +236,7 @@ impl Executor {
                 .get_global(file, class)
                 .and_then(|c| interp.call(c, vec![Value::str(input)]))
                 .and_then(|obj| interp.invoke_method(obj, method, vec![])),
-            EntryPoint::ScriptConstant { .. } => interp.run_script(file).map(|_| Value::None),
+            EntryPoint::ScriptConstant { .. } => interp.load_module(file).map(|_| Value::None),
         };
 
         let mut harvest = Vec::new();
@@ -255,7 +255,8 @@ impl Executor {
             }
             _ => {}
         }
-        let trace = interp.reset_trace();
+        let mut trace = interp.reset_trace();
+        trace.exception = result.as_ref().err().map(|e| e.kind.clone());
         let fuel_used = interp.fuel_used();
         RunOutcome {
             trace,
@@ -553,12 +554,43 @@ def f(s):
 
     #[test]
     fn exceptions_are_part_of_the_trace() {
+        // A builtin's error, a user-raised kind and fuel exhaustion are each
+        // recorded once, as the trace's exception and as a literal equal to
+        // the run's black-box literal.
+        let cases = [
+            ("def f(s):\n    return int(s)\n", "ValueError"),
+            (
+                "def f(s):\n    if s:\n        raise MyError('bad')\n    return s\n",
+                "MyError",
+            ),
+            (
+                "def f(s):\n    while True:\n        s = s\n    return s\n",
+                PyError::FUEL,
+            ),
+        ];
+        for (src, kind) in cases {
+            let program = program_with(src);
+            let cand = first_candidate(&program);
+            let exec = Executor::new(program, &PackageIndex::new(), FUEL);
+            let out = exec.run(&cand, "not-a-number", &PackageIndex::new());
+            assert!(!out.completed());
+            assert_eq!(out.trace.exception.as_deref(), Some(kind));
+            assert!(out.trace.has_exception(kind));
+            let literal = crate::Literal::Exception { kind: kind.into() };
+            assert_eq!(out.black_box_literal(), literal);
+            assert!(crate::featurize(&out.trace).contains(&literal));
+        }
+
+        // A successful run records no exception.
         let program = program_with("def f(s):\n    return int(s)\n");
         let cand = first_candidate(&program);
         let exec = Executor::new(program, &PackageIndex::new(), FUEL);
-        let out = exec.run(&cand, "not-a-number", &PackageIndex::new());
-        assert!(!out.completed());
-        assert!(out.trace.has_exception("ValueError"));
+        let out = exec.run(&cand, "42", &PackageIndex::new());
+        assert!(out.completed());
+        assert_eq!(out.trace.exception, None);
+        assert!(!crate::featurize(&out.trace)
+            .iter()
+            .any(|l| matches!(l, crate::Literal::Exception { .. })));
     }
 
     #[test]

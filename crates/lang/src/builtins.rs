@@ -216,7 +216,7 @@ pub fn call(
             let mut out = Vec::new();
             let mut i = start;
             while (step > 0 && i < stop) || (step < 0 && i > stop) {
-                interp.charge_external(1)?;
+                interp.charge(1)?;
                 out.push(Value::Int(i));
                 // Stepping past the i64 range ends it, as in Python.
                 let Some(next) = i.checked_add(step) else {
@@ -439,7 +439,7 @@ fn str_method(
             } else {
                 // The padding is data-proportional work, charged before it
                 // is allocated, like `str * n`.
-                interp.charge_external((width - len) as u64)?;
+                interp.charge((width - len) as u64)?;
                 let mut out = "0".repeat(width - len);
                 out.push_str(s);
                 Ok(Value::str(out))

@@ -6,10 +6,12 @@
 //!
 //! Every `if`/`elif`/`while` condition evaluation emits a
 //! [`TraceEvent::Branch`]; every executed `return` emits a
-//! [`TraceEvent::Return`]; an exception escaping a public entry point emits a
-//! [`TraceEvent::Exception`]. Tracing is inter-procedural: events from all
-//! transitively called functions land in the same tracer, exactly like the
-//! paper's whole-repository bytecode instrumentation (Appendix D.2).
+//! [`TraceEvent::Return`]. Tracing is inter-procedural: events from all
+//! transitively called functions land in the same [`Trace`], exactly like
+//! the paper's whole-repository bytecode instrumentation (Appendix D.2).
+//! The entry points only return their `Result`: an escaping exception is
+//! recorded by the caller that knows which call was the top-level one
+//! (`autotype-exec`'s harness sets [`Trace::exception`]).
 //!
 //! Execution is bounded by deterministic *fuel* (one unit per statement /
 //! expression node) standing in for AutoType's 30-second watchdog.
@@ -22,7 +24,7 @@ use std::sync::Arc;
 use crate::ast::*;
 use crate::error::PyError;
 use crate::parser::{parse_source, ParseError};
-use crate::trace::{SiteId, Trace, TraceEvent, Tracer};
+use crate::trace::{SiteId, Trace, TraceEvent};
 use crate::value::{ClassObj, Object, Value};
 
 /// A named, parsed source file inside a [`Program`].
@@ -155,13 +157,13 @@ impl Env {
 
 /// The PyLite interpreter.
 ///
-/// One interpreter executes against one [`Program`]; a fresh [`Tracer`] can
-/// be installed per run via [`Interp::reset_trace`].
+/// One interpreter executes against one [`Program`]; [`Interp::reset_trace`]
+/// takes the events gathered so far and starts a fresh [`Trace`].
 pub struct Interp<'p> {
     program: &'p Program,
     pub(crate) io: Io,
     pub(crate) stdout: String,
-    tracer: Tracer,
+    trace: Trace,
     fuel: u64,
     initial_fuel: u64,
     depth: usize,
@@ -180,7 +182,7 @@ impl<'p> Interp<'p> {
             program,
             io,
             stdout: String::new(),
-            tracer: Tracer::new(),
+            trace: Trace::default(),
             fuel,
             initial_fuel: fuel,
             depth: 0,
@@ -189,14 +191,14 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Replace the tracer, returning the trace gathered so far.
+    /// Take the trace gathered so far, leaving an empty one.
     pub fn reset_trace(&mut self) -> Trace {
-        std::mem::replace(&mut self.tracer, Tracer::new()).into_trace()
+        std::mem::take(&mut self.trace)
     }
 
     /// Events recorded so far (without resetting).
     pub fn trace_events(&self) -> &[TraceEvent] {
-        &self.tracer.trace.events
+        &self.trace.events
     }
 
     /// Fuel consumed since the interpreter was built — the deterministic
@@ -212,7 +214,7 @@ impl<'p> Interp<'p> {
     }
 
     // ------------------------------------------------------------------
-    // Public entry points (these record escaping exceptions in the trace).
+    // Public entry points.
     // ------------------------------------------------------------------
 
     /// Ensure a module's top level has executed; returns its namespace.
@@ -250,100 +252,49 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Call a top-level function of `file` by name with `args`, recording an
-    /// `Exception` trace event if the call errors out.
+    /// Call a top-level function of `file` by name with `args`.
     pub fn call_function(
         &mut self,
         file: u32,
         name: &str,
         args: Vec<Value>,
     ) -> Result<Value, PyError> {
-        let result = self.call_function_inner(file, name, args);
-        if let Err(e) = &result {
-            self.tracer.exception(&e.kind);
-        }
-        result
+        let func = self.get_global(file, name)?;
+        self.call(func, args)
     }
 
-    fn call_function_inner(
-        &mut self,
-        file: u32,
-        name: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, PyError> {
-        let globals = self.load_module(file)?;
-        let func = globals
-            .borrow()
-            .attrs
-            .get(name)
-            .cloned()
-            .ok_or_else(|| PyError::name_error(name, 0))?;
-        self.call_value(func, args, 0)
-    }
-
-    /// Fetch a module-level binding (class, function, constant), recording
-    /// an `Exception` trace event if the module fails to load or lacks it.
+    /// Fetch a module-level binding (class, function, constant), loading
+    /// the module first.
     pub fn get_global(&mut self, file: u32, name: &str) -> Result<Value, PyError> {
-        let result = self.load_module(file).and_then(|globals| {
-            let v = globals.borrow().attrs.get(name).cloned();
-            v.ok_or_else(|| PyError::name_error(name, 0))
-        });
-        if let Err(e) = &result {
-            self.tracer.exception(&e.kind);
-        }
-        result
-    }
-
-    /// Run a file as a standalone script (executes its top level), recording
-    /// an `Exception` trace event on failure. Returns the module namespace.
-    pub fn run_script(&mut self, file: u32) -> Result<Globals, PyError> {
-        let result = self.load_module(file);
-        if let Err(e) = &result {
-            self.tracer.exception(&e.kind);
-        }
-        result
+        let v = self.load_module(file)?.borrow().attrs.get(name).cloned();
+        v.ok_or_else(|| PyError::name_error(name, 0))
     }
 
     /// Call an arbitrary callable value (function, bound method, class,
-    /// builtin) with `args`, recording an `Exception` trace event on failure.
+    /// builtin) with `args`.
     pub fn call(&mut self, callee: Value, args: Vec<Value>) -> Result<Value, PyError> {
-        let result = self.call_value(callee, args, 0);
-        if let Err(e) = &result {
-            self.tracer.exception(&e.kind);
-        }
-        result
+        self.call_value(callee, args, 0)
     }
 
-    /// Invoke `receiver.method(args)` on an object instance, recording an
-    /// `Exception` trace event on failure (used by the invocation variants
-    /// of Appendix D.1).
+    /// Invoke `receiver.method(args)` on an object instance (used by the
+    /// invocation variants of Appendix D.1).
     pub fn invoke_method(
         &mut self,
         receiver: Value,
         method: &str,
         args: Vec<Value>,
     ) -> Result<Value, PyError> {
-        let result = (|| {
-            let bound = self.get_attr(receiver, method, 0)?;
-            self.call_value(bound, args, 0)
-        })();
-        if let Err(e) = &result {
-            self.tracer.exception(&e.kind);
-        }
-        result
+        let bound = self.get_attr(receiver, method, 0)?;
+        self.call_value(bound, args, 0)
     }
 
     // ------------------------------------------------------------------
     // Core execution.
     // ------------------------------------------------------------------
 
-    /// Fuel charging hook for builtins that do data-proportional work.
-    pub(crate) fn charge_external(&mut self, amount: u64) -> Result<(), PyError> {
-        self.charge(amount)
-    }
-
+    /// Charge `amount` fuel; builtins call it for data-proportional work.
     #[inline]
-    fn charge(&mut self, amount: u64) -> Result<(), PyError> {
+    pub(crate) fn charge(&mut self, amount: u64) -> Result<(), PyError> {
         if self.fuel < amount {
             self.fuel = 0;
             return Err(PyError::fuel_exhausted());
@@ -404,7 +355,7 @@ impl<'p> Interp<'p> {
             } => {
                 let c = self.eval(cond, env)?;
                 let taken = c.truthy();
-                self.tracer.branch(SiteId::new(env.file, *line), taken);
+                self.trace.branch(SiteId::new(env.file, *line), taken);
                 if taken {
                     self.exec_block(then_body, env)
                 } else {
@@ -416,7 +367,7 @@ impl<'p> Interp<'p> {
                     self.charge(1)?;
                     let c = self.eval(cond, env)?;
                     let taken = c.truthy();
-                    self.tracer.branch(SiteId::new(env.file, *line), taken);
+                    self.trace.branch(SiteId::new(env.file, *line), taken);
                     if !taken {
                         break;
                     }
@@ -452,7 +403,7 @@ impl<'p> Interp<'p> {
                     Some(e) => self.eval(e, env)?,
                     None => Value::None,
                 };
-                self.tracer.ret(SiteId::new(env.file, *line), &v);
+                self.trace.ret(SiteId::new(env.file, *line), &v);
                 Ok(Flow::Return(v))
             }
             Stmt::Raise {
@@ -1273,19 +1224,6 @@ def luhn(s):
     }
 
     #[test]
-    fn uncaught_exception_is_traced() {
-        let src = "def f(s):\n    return int(s)\n";
-        let mut program = Program::new();
-        program.add_file("m", src).unwrap();
-        let mut interp = Interp::new(&program);
-        let err = interp
-            .call_function(0, "f", vec![Value::str("notanint")])
-            .unwrap_err();
-        assert_eq!(err.kind, "ValueError");
-        assert!(interp.reset_trace().has_exception("ValueError"));
-    }
-
-    #[test]
     fn try_except_catches_by_kind() {
         let src = r#"
 def f(s):
@@ -1451,7 +1389,7 @@ class CreditCard:
             ..Io::default()
         };
         let mut interp = Interp::with_options(&program, io, DEFAULT_FUEL);
-        let globals = interp.run_script(0).unwrap();
+        let globals = interp.load_module(0).unwrap();
         let result = globals.borrow().attrs.get("result").cloned().unwrap();
         assert!(result.py_eq(&Value::str("127.0.0.1")));
     }

@@ -6,7 +6,8 @@
 //! Python-2.7-flavoured language with a tree-walking interpreter whose
 //! execution emits the exact trace events the paper's bytecode injection
 //! produces — branch outcomes and summarized return values keyed by
-//! `(file, line)`, plus escaping exceptions (Appendix D.2 of the paper).
+//! `(file, line)` (Appendix D.2 of the paper); the caller records the
+//! exception that escaped a run next to them.
 //!
 //! The "mined code" of the reproduction — parsers, validators and
 //! converters for rich semantic types — is written in PyLite by
@@ -45,5 +46,5 @@ pub mod value;
 pub use error::PyError;
 pub use interp::{Interp, Io, Program, SourceFile, DEFAULT_FUEL};
 pub use parser::{parse_source, ParseError};
-pub use trace::{SiteId, TraceEvent, Tracer, ValueSummary};
+pub use trace::{SiteId, Trace, TraceEvent, ValueSummary};
 pub use value::Value;

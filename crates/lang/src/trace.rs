@@ -6,10 +6,11 @@
 //! (in `autotype-exec`) turns events into binary literals per §5.2 of the
 //! paper.
 //!
-//! Exception kinds are interned ([`ExcId`]) so every [`TraceEvent`] is
-//! `Copy` — the hot candidate × example loop pushes events without touching
-//! the allocator. Ids are resolved back to kind names through the
-//! [`ExcTable`] carried by the owning [`Trace`].
+//! Every [`TraceEvent`] is a (site, outcome) pair and `Copy`, so the hot
+//! candidate × example loop pushes events without touching the allocator.
+//! The exception that escaped a run is not an event: a run has at most one
+//! and it ends the run, so it is one field of the [`Trace`], set by whoever
+//! knows which call was the top-level one.
 
 use crate::value::Value;
 
@@ -30,62 +31,6 @@ impl SiteId {
 impl std::fmt::Display for SiteId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "f{}:{}", self.file, self.line)
-    }
-}
-
-/// An interned exception-kind symbol, valid only together with the
-/// [`ExcTable`] it was interned into (one per [`Trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ExcId(u32);
-
-/// Kinds preseeded into every table: interning one of these never allocates
-/// and always yields the same id. Covers every kind the interpreter or the
-/// corpus raises; user-defined kinds fall through to the dynamic tail.
-const WELL_KNOWN: &[&str] = &[
-    "ValueError",
-    "TypeError",
-    "ImportError",
-    "KeyError",
-    "IndexError",
-    "AttributeError",
-    "NameError",
-    "ZeroDivisionError",
-    "IOError",
-    "EOFError",
-    "OverflowError",
-    "RuntimeError",
-    "Exception",
-    crate::error::PyError::FUEL,
-    crate::error::PyError::RECURSION,
-];
-
-/// Bidirectional kind ↔ id table. Ids `0..WELL_KNOWN.len()` are static;
-/// user-raised kinds are appended in first-seen order, which is
-/// deterministic because events within one run are recorded serially.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExcTable {
-    extra: Vec<String>,
-}
-
-impl ExcTable {
-    pub fn intern(&mut self, kind: &str) -> ExcId {
-        if let Some(i) = WELL_KNOWN.iter().position(|k| *k == kind) {
-            return ExcId(i as u32);
-        }
-        let base = WELL_KNOWN.len();
-        if let Some(i) = self.extra.iter().position(|k| k == kind) {
-            return ExcId((base + i) as u32);
-        }
-        self.extra.push(kind.to_string());
-        ExcId((base + self.extra.len() - 1) as u32)
-    }
-
-    pub fn name(&self, id: ExcId) -> &str {
-        let i = id.0 as usize;
-        match WELL_KNOWN.get(i) {
-            Some(k) => k,
-            None => &self.extra[i - WELL_KNOWN.len()],
-        }
     }
 }
 
@@ -128,59 +73,31 @@ pub enum TraceEvent {
     Branch { site: SiteId, taken: bool },
     /// A `return` executed at `site` with the summarized value.
     Return { site: SiteId, value: ValueSummary },
-    /// An exception of the interned `kind` propagated out of the top-level
-    /// invocation.
-    Exception { kind: ExcId },
 }
 
-/// The completed event stream of one run, plus the table that resolves its
-/// interned exception kinds.
+/// The record of one run: its event stream, plus the kind of the exception
+/// that escaped the top-level invocation, if one did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
-    pub exc: ExcTable,
+    pub exception: Option<String>,
 }
 
 impl Trace {
-    /// Whether an exception of the named kind was recorded.
+    /// Whether an exception of the named kind escaped the run.
     pub fn has_exception(&self, kind: &str) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Exception { kind: id } if self.exc.name(*id) == kind))
-    }
-}
-
-/// Collects trace events during one execution. The interpreter holds a
-/// mutable reference; a fresh tracer is used per (function, example) run.
-#[derive(Debug, Default)]
-pub struct Tracer {
-    pub trace: Trace,
-}
-
-impl Tracer {
-    pub fn new() -> Self {
-        Tracer::default()
-    }
-
-    /// Finish tracing, yielding the recorded events and their kind table.
-    pub fn into_trace(self) -> Trace {
-        self.trace
+        self.exception.as_deref() == Some(kind)
     }
 
     pub fn branch(&mut self, site: SiteId, taken: bool) {
-        self.trace.events.push(TraceEvent::Branch { site, taken });
+        self.events.push(TraceEvent::Branch { site, taken });
     }
 
     pub fn ret(&mut self, site: SiteId, value: &Value) {
-        self.trace.events.push(TraceEvent::Return {
+        self.events.push(TraceEvent::Return {
             site,
             value: ValueSummary::of(value),
         });
-    }
-
-    pub fn exception(&mut self, kind: &str) {
-        let kind = self.trace.exc.intern(kind);
-        self.trace.events.push(TraceEvent::Exception { kind });
     }
 }
 
@@ -215,51 +132,16 @@ mod tests {
 
     #[test]
     fn events_are_ordered() {
-        let mut t = Tracer::new();
+        let mut t = Trace::default();
         t.branch(SiteId::new(0, 6), true);
         t.ret(SiteId::new(0, 20), &Value::None);
-        assert_eq!(t.trace.events.len(), 2);
-        assert!(matches!(t.trace.events[0], TraceEvent::Branch { .. }));
-    }
-
-    #[test]
-    fn well_known_kinds_intern_without_extra_entries() {
-        let mut table = ExcTable::default();
-        let a = table.intern("ValueError");
-        let b = table.intern("ValueError");
-        assert_eq!(a, b);
-        assert_eq!(table.name(a), "ValueError");
-        assert!(table.extra.is_empty());
-    }
-
-    #[test]
-    fn custom_kinds_round_trip_deterministically() {
-        let mut table = ExcTable::default();
-        let a = table.intern("MyCustomError");
-        let b = table.intern("OtherError");
-        assert_eq!(table.intern("MyCustomError"), a);
-        assert_ne!(a, b);
-        assert_eq!(table.name(a), "MyCustomError");
-        assert_eq!(table.name(b), "OtherError");
-
-        // Same intern order in a second table yields the same ids.
-        let mut again = ExcTable::default();
-        assert_eq!(again.intern("MyCustomError"), a);
-        assert_eq!(again.intern("OtherError"), b);
+        assert_eq!(t.events.len(), 2);
+        assert!(matches!(t.events[0], TraceEvent::Branch { .. }));
     }
 
     #[test]
     fn trace_events_are_copy() {
         fn assert_copy<T: Copy>() {}
         assert_copy::<TraceEvent>();
-    }
-
-    #[test]
-    fn has_exception_resolves_through_the_table() {
-        let mut t = Tracer::new();
-        t.exception("MyCustomError");
-        let trace = t.into_trace();
-        assert!(trace.has_exception("MyCustomError"));
-        assert!(!trace.has_exception("ValueError"));
     }
 }

@@ -24,8 +24,10 @@
 //! to keep-alive, HTTP/1.0 must opt in with `Connection: keep-alive`.
 //! Error responses always close (after a parse failure the request
 //! framing is unknowable, so the socket cannot be trusted for another
-//! round). An idle timeout with *zero* bytes read closes silently — that
-//! is a client choosing not to reuse the connection, not an error. From
+//! round). Only `Content-Length` frames a body: repeats must agree (400
+//! otherwise), and any `Transfer-Encoding` is answered 501. An idle
+//! timeout with *zero* bytes read closes silently — that is a client
+//! choosing not to reuse the connection, not an error. From
 //! its first byte, a whole request must arrive within `READ_TIMEOUT`
 //! (10 s): each read from the socket waits only for the time left, so
 //! trickled bytes cannot hold a handler past the deadline, which earns 408.
@@ -292,6 +294,7 @@ fn status_text(status: u16) -> &'static str {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -430,7 +433,7 @@ fn read_request(
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 must opt in.
     let mut keep_alive = version != "HTTP/1.0";
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut headers = 0;
     loop {
         let header = read_line(reader, &mut deadline, "headers")?;
@@ -444,10 +447,19 @@ fn read_request(
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let length: usize = value
                     .trim()
                     .parse()
                     .map_err(|_| respond(400, "bad content-length"))?;
+                // Lengths that disagree leave the body's end unknowable.
+                if content_length.is_some_and(|n| n != length) {
+                    return Err(respond(400, "conflicting content-length"));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                // Only `Content-Length` frames a body here; reading a
+                // chunked one as the next request would desynchronize.
+                return Err(respond(501, "transfer-encoding not supported"));
             } else if name.eq_ignore_ascii_case("connection") {
                 for token in value.split(',') {
                     let token = token.trim();
@@ -460,6 +472,7 @@ fn read_request(
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(respond(413, "request body too large"));
     }

@@ -53,20 +53,6 @@ impl SynthesizedValidator {
             .iter()
             .any(|conj| conj.iter().all(|lit| trace.contains(lit)))
     }
-
-    /// Human-readable DNF rendering (the explanation shown for inspection,
-    /// e.g. `(b6==True ∧ b16==True) ∨ (b9==True ∧ b16==True)`).
-    pub fn explain(&self) -> String {
-        let clauses: Vec<String> = self
-            .dnf_e
-            .iter()
-            .map(|conj| {
-                let lits: Vec<String> = conj.iter().map(|l| l.to_string()).collect();
-                format!("({})", lits.join(" ∧ "))
-            })
-            .collect();
-        clauses.join(" ∨ ")
-    }
 }
 
 /// Render a concise (pre-expansion) DNF for display.
@@ -85,9 +71,6 @@ pub fn explain_cover(cover: &DnfCover, literals: &[Literal]) -> String {
         .collect();
     clauses.join(" ∨ ")
 }
-
-/// A featurized trace set.
-pub type TraceSet = BTreeSet<Literal>;
 
 /// Build the quality score `Q(F)` of §8.1 from holdout outcomes:
 /// `0.5·(pass in P_test)/|P_test| + 0.5·(reject in N_test)/|N_test|`.
@@ -183,13 +166,13 @@ mod tests {
         )
         .unwrap();
         let validator = SynthesizedValidator::from_cover(&cover, &literals);
-        let visa: TraceSet = [lit(6, true), lit(16, true), lit(7, true)]
+        let visa: BTreeSet<Literal> = [lit(6, true), lit(16, true), lit(7, true)]
             .into_iter()
             .collect();
-        let mc: TraceSet = [lit(9, true), lit(16, true)].into_iter().collect();
-        let bad: TraceSet = [lit(6, true), lit(7, true)].into_iter().collect();
-        let checksum_only: TraceSet = [lit(16, true)].into_iter().collect();
-        let crash: TraceSet = TraceSet::new();
+        let mc: BTreeSet<Literal> = [lit(9, true), lit(16, true)].into_iter().collect();
+        let bad: BTreeSet<Literal> = [lit(6, true), lit(7, true)].into_iter().collect();
+        let checksum_only: BTreeSet<Literal> = [lit(16, true)].into_iter().collect();
+        let crash: BTreeSet<Literal> = BTreeSet::new();
         assert!(validator.accepts(&visa));
         assert!(validator.accepts(&mc));
         assert!(!validator.accepts(&bad));
@@ -211,7 +194,7 @@ mod tests {
         )
         .unwrap();
         let validator = SynthesizedValidator::from_cover(&cover, &literals);
-        let partial: TraceSet = [lit(6, true), lit(16, true)].into_iter().collect();
+        let partial: BTreeSet<Literal> = [lit(6, true), lit(16, true)].into_iter().collect();
         assert!(!validator.accepts(&partial));
     }
 

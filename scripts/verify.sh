@@ -3,9 +3,9 @@
 # complete workspace test suite (including the vendored stub crates), the
 # exec and pack unit tests again in the release profile, the
 # paper-fidelity diff of `figures all` against figures_fast_output.txt,
-# perfbench's build and unit tests, and warnings-as-errors clippy and
-# rustdoc passes (the latter catches intra-doc links to moved or deleted
-# items).
+# perfbench's build, unit tests and smoke test, and warnings-as-errors
+# clippy and rustdoc passes (the latter catches intra-doc links to moved
+# or deleted items).
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -43,10 +43,14 @@ cargo run --release --offline -q -p autotype-bench --bin figures -- all |
 
 # perfbench is a workspace of its own, so the builds above never compile
 # it: build it and run its unit tests here, so removing API it uses fails
-# this gate instead of the benchmark.
-echo "== perfbench: build + unit tests =="
+# this gate instead of the benchmark. The smoke test runs every workload
+# for 1 s, traced and untraced, and requires `correct: true` and no failed
+# operation (the synth replay re-featurizes the session's runs, so it
+# also checks that featurization stays faithful).
+echo "== perfbench: build + unit tests + smoke test =="
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml --bins -q
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --test smoke -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,7 +1,8 @@
 //! Fuzz the detection service's HTTP parser over real sockets: random
 //! bytes, a valid request cut at every byte, randomly mutated requests,
-//! oversized request lines and header counts, non-UTF-8 bytes and
-//! mismatched `Content-Length`s. Each input is sent on its own connection,
+//! oversized request lines and header counts, non-UTF-8 bytes,
+//! mismatched or conflicting `Content-Length`s and transfer codings. Each
+//! input is sent on its own connection,
 //! whose write side is then closed, so a short body ends at end of input
 //! instead of the read deadline.
 //!
@@ -272,6 +273,43 @@ fn every_connection_gets_well_formed_responses_then_closes() {
             exchange(addr, &input),
             [status],
             "Content-Length {length:?}"
+        );
+    }
+
+    // Framing: only `Content-Length` frames a body, and its repeats must
+    // agree. If the last length won, the first request below would be
+    // answered 200; if a transfer coding were ignored, the chunked body
+    // would be read as a second request on the kept-alive connection.
+    let chunked = request(
+        b"GET /healthz HTTP/1.1",
+        &[b"Connection: keep-alive", b"Transfer-Encoding: chunked"],
+        b"5\r\nhello\r\n0\r\n\r\n",
+    );
+    let agreed = format!("Content-Length: {}", BODY.len());
+    for (input, status) in [
+        (
+            request(
+                b"POST /detect HTTP/1.1",
+                &[agreed.as_bytes(), agreed.as_bytes()],
+                BODY.as_bytes(),
+            ),
+            200,
+        ),
+        (
+            request(
+                b"POST /detect HTTP/1.1",
+                &[b"Content-Length: 5", agreed.as_bytes()],
+                BODY.as_bytes(),
+            ),
+            400,
+        ),
+        (chunked, 501),
+    ] {
+        assert_eq!(
+            exchange(addr, &input),
+            [status],
+            "{:?}",
+            String::from_utf8_lossy(&input)
         );
     }
 

@@ -2,8 +2,8 @@
 //! executed — each top-level one-parameter function on a fixed list of
 //! inputs, and each file's top level as a script — and everything the
 //! pipeline can observe about those runs is folded into one FNV-1a hash:
-//! the fuel used, the trace events, and the result's repr or the error's
-//! kind and message.
+//! the fuel used, the trace events, and the result's repr or the escaping
+//! exception's kind and message.
 //!
 //! Fuel, traces and verdicts are the interpreter's contract with synthesis
 //! and detection, so any change to name resolution, dispatch or value
@@ -11,7 +11,6 @@
 //! it on purpose must say why and re-pin it.
 
 use autotype_corpus::{build_corpus, CorpusConfig};
-use autotype_lang::trace::TraceEvent;
 use autotype_lang::{Interp, Io, PyError, Value};
 
 /// The pinned fingerprint.
@@ -54,17 +53,14 @@ impl Fnv {
 fn hash_run(h: &mut Fnv, interp: &Interp, outcome: Result<String, PyError>) {
     h.write(&interp.fuel_used().to_le_bytes());
     for event in interp.trace_events() {
-        // Exception ids are per-trace interned; the kind itself is hashed
-        // from the error below.
-        let rendered = match event {
-            TraceEvent::Exception { .. } => "exception".to_string(),
-            other => format!("{other:?}"),
-        };
-        h.field(&rendered);
+        h.field(&format!("{event:?}"));
     }
     match outcome {
         Ok(repr) => h.field(&repr),
         Err(e) => {
+            // The escaping exception, recorded after the run's events; its
+            // kind is hashed next.
+            h.field("exception");
             h.field(&e.kind);
             h.field(&e.message);
         }
@@ -94,7 +90,7 @@ fn corpus_fingerprint() -> (u64, usize) {
 
             let mut interp = Interp::with_options(&program, Io::default(), FUEL);
             let outcome = interp
-                .run_script(file)
+                .load_module(file)
                 .map(|g| repr_namespace(&g.borrow().attrs));
             hash_run(&mut h, &interp, outcome);
             runs += 1;
